@@ -18,8 +18,6 @@
 #include "proto/rtcp/rtcp.hpp"
 #include "proto/rtp/rtp.hpp"
 #include "proto/stun/stun.hpp"
-#include "net/arena.hpp"
-#include "net/packet_batch.hpp"
 #include "net/pcap.hpp"
 #include "proto/tls/client_hello.hpp"
 #include "report/corpus.hpp"
@@ -194,21 +192,18 @@ void BM_ScanningDpiMacro(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanningDpiMacro)->Arg(0)->Arg(1)->ArgNames({"anchor"});
 
-/// Vector-pipeline sweep over the same macro workload: batch size
-/// (1 = the fused per-datagram path, 256 = the default vector length)
-/// crossed with the forced SIMD kernel level. Levels this CPU or build
-/// cannot execute are skipped, not failed, so the sweep is portable
-/// across x86-64 tiers and AArch64. All cells produce byte-identical
-/// analyses (the parity oracles enforce that); this measures cost only.
+/// Vector-pipeline sweep over the same macro workload across the forced
+/// SIMD kernel level. Levels this CPU or build cannot execute are
+/// skipped, not failed, so the sweep is portable across x86-64 tiers
+/// and AArch64. All cells produce byte-identical analyses (the parity
+/// oracles enforce that); this measures cost only.
 void BM_BatchPipeline(benchmark::State& state) {
   static const DpiWorkload wl(1.0, 30.0);
-  const auto level = static_cast<dpi::SimdLevel>(state.range(1));
+  const auto level = static_cast<dpi::SimdLevel>(state.range(0));
   if (!dpi::simd_level_supported(level)) {
     state.SkipWithError("SIMD level not supported on this CPU/build");
     return;
   }
-  const net::BatchModeGuard batch_guard(
-      static_cast<std::size_t>(state.range(0)));
   const dpi::SimdModeGuard simd_guard(level);
   const dpi::ScanningDpi engine;
   for (auto _ : state) {
@@ -224,12 +219,11 @@ void BM_BatchPipeline(benchmark::State& state) {
   state.SetLabel(dpi::to_string(level));
 }
 BENCHMARK(BM_BatchPipeline)
-    ->ArgsProduct({{1, 32, 64, 128, 256, 512, 1024},
-                   {static_cast<long>(dpi::SimdLevel::kScalar),
-                    static_cast<long>(dpi::SimdLevel::kSse2),
-                    static_cast<long>(dpi::SimdLevel::kAvx2),
-                    static_cast<long>(dpi::SimdLevel::kNeon)}})
-    ->ArgNames({"batch", "simd"});
+    ->Arg(static_cast<long>(dpi::SimdLevel::kScalar))
+    ->Arg(static_cast<long>(dpi::SimdLevel::kSse2))
+    ->Arg(static_cast<long>(dpi::SimdLevel::kAvx2))
+    ->Arg(static_cast<long>(dpi::SimdLevel::kNeon))
+    ->ArgNames({"simd"});
 
 void BM_StrictDpi(benchmark::State& state) {
   emul::CallConfig cfg;
@@ -257,34 +251,6 @@ void BM_StrictDpi(benchmark::State& state) {
 }
 BENCHMARK(BM_StrictDpi);
 
-/// Experiment dispatch ablation: serial vs barrier-stalling waves vs
-/// the persistent work-stealing pool, over a matrix whose call costs
-/// are deliberately heterogeneous (relay-mode Zoom with filler bursts
-/// is several times slower than the small P2P calls).
-void BM_ExperimentDispatch(benchmark::State& state) {
-  report::ExperimentConfig cfg;
-  cfg.repeats = 1;
-  cfg.media_scale = 0.05;
-  cfg.call_s = 120.0;
-  cfg.exec = static_cast<report::ExecMode>(state.range(0));
-  for (auto _ : state) {
-    auto results = report::run_experiment(cfg);
-    benchmark::DoNotOptimize(results);
-  }
-  state.SetLabel(report::to_string(cfg.exec));
-  state.counters["calls"] = static_cast<double>(
-      cfg.apps.size() * cfg.networks.size() *
-      static_cast<std::size_t>(cfg.repeats));
-}
-BENCHMARK(BM_ExperimentDispatch)
-    ->Arg(static_cast<int>(report::ExecMode::kSerial))
-    ->Arg(static_cast<int>(report::ExecMode::kWave))
-    ->Arg(static_cast<int>(report::ExecMode::kPooled))
-    ->ArgNames({"mode"})
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
 /// Shared encoded capture for the decode benchmarks: a mid-size relay
 /// call (~10k frames), encoded once.
 const util::Bytes& sample_pcap() {
@@ -299,10 +265,8 @@ const util::Bytes& sample_pcap() {
   return encoded;
 }
 
-/// Decode-path ablation: mode 0 = legacy per-frame owned buffers,
-/// mode 1 = arena copy (one slab memcpy per frame), mode 2 = zero-copy
-/// views over the input buffer. The acceptance bar for this PR is
-/// zero-copy ≥ 3x over legacy.
+/// Decode-path ablation: mode 1 = arena copy (one slab memcpy per
+/// frame), mode 2 = zero-copy views over the input buffer.
 void BM_PcapDecode(benchmark::State& state) {
   const auto& encoded = sample_pcap();
   const int mode = static_cast<int>(state.range(0));
@@ -313,7 +277,6 @@ void BM_PcapDecode(benchmark::State& state) {
       // Buffer outlives the trace (it's static), so no keepalive.
       trace = net::decode_pcap_zero_copy(util::BytesView{encoded});
     } else {
-      net::ArenaModeGuard guard(mode == 1);
       trace = net::decode_pcap(util::BytesView{encoded});
     }
     frames = trace->size();
@@ -322,19 +285,18 @@ void BM_PcapDecode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(encoded.size()));
   state.counters["frames"] = static_cast<double>(frames);
-  state.SetLabel(mode == 0 ? "legacy" : mode == 1 ? "arena-copy" : "zero-copy");
+  state.SetLabel(mode == 1 ? "arena-copy" : "zero-copy");
 }
-BENCHMARK(BM_PcapDecode)->Arg(0)->Arg(1)->Arg(2)->ArgNames({"mode"});
+BENCHMARK(BM_PcapDecode)->Arg(1)->Arg(2)->ArgNames({"mode"});
 
-/// Emulator frame building: legacy (one temp vector per frame, copied
-/// into the emission) vs arena (headers + payload written in place).
+/// Emulator frame building: headers + payload written in place into the
+/// call's arena.
 void BM_EmulatorGenerate(benchmark::State& state) {
   emul::CallConfig cfg;
   cfg.app = emul::AppId::kGoogleMeet;
   cfg.network = emul::NetworkSetup::kWifiRelay;
   cfg.media_scale = 0.1;
   cfg.call_s = 120.0;
-  net::ArenaModeGuard guard(state.range(0) != 0);
   std::uint64_t bytes = 0;
   for (auto _ : state) {
     auto call = emul::emulate_call(cfg);
@@ -343,13 +305,8 @@ void BM_EmulatorGenerate(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
-  state.SetLabel(state.range(0) != 0 ? "arena" : "legacy");
 }
-BENCHMARK(BM_EmulatorGenerate)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"arena"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EmulatorGenerate)->Unit(benchmark::kMillisecond);
 
 /// Streaming corpus: generate+analyze `repeats` x 18 calls with the
 /// live-trace gate. The memory claim is visible in the counters: as

@@ -15,7 +15,8 @@
 // occupancy (packets / vectors), the main VPP health metric.
 //
 // The counters are *diagnostic*, not part of the compliance verdict:
-// vectors depends on RTCC_BATCH, so the metamorphic / batch-parity
+// they depend on the extraction path (the naive all-offsets oracle
+// books no demux / prefilter / scan vectors), so the metamorphic
 // signatures exclude them (testkit::meta::compliance_signature), while
 // the report JSON surfaces them under "nodes".
 #pragma once

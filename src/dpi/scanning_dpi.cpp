@@ -405,23 +405,12 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
     st.rtp_pairs.reserve(n_packets * 2);
 
   // ---- Step 1: candidate extraction (Algorithm 1, lines 5-13) ----
-  const std::size_t bsz = net::batch_size();
+  constexpr std::size_t bsz = net::kBatchSize;
   if (!options_.use_anchor_prefilter) {
     // Oracle path: every protocol sniff at every offset 0..k.
     for (std::size_t di = 0; di < n_packets; ++di)
       extract_naive(packets.payload(di), static_cast<std::uint32_t>(di),
                     options_, st);
-  } else if (bsz <= 1) {
-    // Legacy one-datagram-at-a-time path (the batch-parity oracle):
-    // anchor scan and sniffs fused per datagram, no staging.
-    for (std::size_t di = 0; di < n_packets; ++di) {
-      const BytesView payload = packets.payload(di);
-      const auto d32 = static_cast<std::uint32_t>(di);
-      for_each_anchor(payload, options_,
-                      [&](std::uint32_t off, std::uint8_t mask) {
-                        emit_at(payload, d32, off, mask, options_, st);
-                      });
-    }
   } else {
     // Node graph: demux → prefilter → scan, one fixed-size vector at a
     // time. Each node runs its loop over the whole chunk before the

@@ -8,11 +8,11 @@
 //
 // Candidate extraction runs as a vector-processing node graph
 // (DESIGN.md §6): packets flow through demux → anchor prefilter → scan
-// in fixed-size batches (net::batch_size(), RTCC_BATCH knob), each node
-// looping over the whole vector before the next starts. Batch size 1
-// selects the legacy fused one-datagram-at-a-time loop, kept as the
-// equivalence oracle — every path emits a byte-identical candidate
-// list, so validation and classification cannot diverge.
+// in fixed-size batches (net::kBatchSize), each node looping over the
+// whole vector before the next starts. The naive all-offsets scan
+// (ScanOptions::use_anchor_prefilter = false) stays as the equivalence
+// oracle — both emit a byte-identical candidate list, so validation
+// and classification cannot diverge.
 #pragma once
 
 #include <vector>
@@ -71,7 +71,7 @@ class ScanningDpi {
 
   /// Same analysis over a descriptor batch (the pipeline hot path —
   /// analyze_stream converts and delegates here). Extraction runs the
-  /// demux → prefilter → scan node graph in net::batch_size() chunks;
+  /// demux → prefilter → scan node graph in net::kBatchSize chunks;
   /// when `counters` is non-null each node adds its vectors / packets /
   /// suspended tallies. Results are index-aligned with `packets`.
   [[nodiscard]] std::vector<DatagramAnalysis> analyze_batch(

@@ -53,8 +53,7 @@ CallContext::CallContext(const CallConfig& config, const Endpoints& endpoints,
     : config_(config),
       endpoints_(endpoints),
       schedule_(schedule),
-      rng_(seed),
-      use_arena_(rtcc::net::arena_enabled()) {}
+      rng_(seed) {}
 
 TransmissionMode CallContext::initial_mode() const {
   switch (config_.network) {
@@ -96,15 +95,8 @@ std::uint16_t CallContext::ephemeral_port() {
 
 void CallContext::emit(double ts, const rtcc::net::FrameSpec& spec,
                        BytesView payload, TruthKind kind) {
-  if (use_arena_) {
-    emissions_.push_back(
-        Emission{ts, rtcc::net::build_frame_arena(arena_, ts, spec, payload),
-                 kind});
-  } else {
-    emissions_.push_back(Emission{
-        ts, rtcc::net::Frame{ts, rtcc::net::build_frame(spec, payload)},
-        kind});
-  }
+  emissions_.push_back(Emission{
+      ts, rtcc::net::build_frame_arena(arena_, ts, spec, payload), kind});
 }
 
 void CallContext::emit_udp(double ts, const IpAddr& src, std::uint16_t sport,
@@ -139,12 +131,11 @@ EmulatedCall CallContext::take_call() {
   call.schedule = schedule_;
   call.endpoints = endpoints_;
   call.config = config_;
-  call.trace = rtcc::net::Trace(use_arena_);
-  if (use_arena_) call.trace.adopt_arena(std::move(arena_));
+  call.trace.adopt_arena(std::move(arena_));
   call.trace.reserve(emissions_.size());
   call.truth.reserve(emissions_.size());
   for (auto& e : emissions_) {
-    call.trace.add_frame(std::move(e.frame));
+    call.trace.add_frame(e.frame);
     call.truth.push_back(e.kind);
   }
   emissions_.clear();

@@ -130,11 +130,9 @@ class CallContext {
   Endpoints endpoints_;
   rtcc::filter::CallSchedule schedule_;
   rtcc::util::Rng rng_;
-  /// Arena mode: frames are written straight into this arena and only
-  /// their 24-byte descriptors are sorted/moved by take_call; the arena
-  /// itself transfers wholesale into the call's trace. Legacy mode
-  /// (RTCC_ARENA=0) keeps one owned buffer per emission instead.
-  bool use_arena_;
+  /// Frames are written straight into this arena and only their
+  /// 24-byte descriptors are sorted/moved by take_call; the arena
+  /// itself transfers wholesale into the call's trace.
   rtcc::net::FrameArena arena_;
   std::vector<Emission> emissions_;
 };

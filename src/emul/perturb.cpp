@@ -41,7 +41,7 @@ rtcc::net::Trace perturb(const rtcc::net::Trace& trace,
   // per-frame orig_len all survive the perturbation — a perturbed
   // capture is still the same capture to the PR 4 ledger oracles, and
   // the weather layer (emul/weather.hpp) composes on top of this.
-  rtcc::net::Trace out(trace.uses_arena());
+  rtcc::net::Trace out;
   out.set_linktype(trace.linktype());
   out.ingest() = trace.ingest();
   out.reserve(items.size());
@@ -52,7 +52,7 @@ rtcc::net::Trace perturb(const rtcc::net::Trace& trace,
 }
 
 rtcc::net::Trace clone_trace(const rtcc::net::Trace& trace) {
-  rtcc::net::Trace out(trace.uses_arena());
+  rtcc::net::Trace out;
   out.set_linktype(trace.linktype());
   out.ingest() = trace.ingest();
   out.reserve(trace.size());
@@ -62,7 +62,7 @@ rtcc::net::Trace clone_trace(const rtcc::net::Trace& trace) {
 }
 
 rtcc::net::Trace translate_time(const rtcc::net::Trace& trace, double dt) {
-  rtcc::net::Trace out(trace.uses_arena());
+  rtcc::net::Trace out;
   out.set_linktype(trace.linktype());
   out.ingest() = trace.ingest();
   out.reserve(trace.size());

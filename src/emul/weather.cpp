@@ -37,7 +37,6 @@ WeatherResult apply_weather(const rtcc::net::Trace& trace,
                             const WeatherConfig& config) {
   rtcc::util::Rng rng(config.seed);
   WeatherResult out;
-  out.trace = rtcc::net::Trace(trace.uses_arena());
   out.trace.set_linktype(trace.linktype());
   out.trace.ingest() = trace.ingest();
 

@@ -1,28 +1,9 @@
 #include "net/arena.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
-#include "util/env_knob.hpp"
-
 namespace rtcc::net {
-
-namespace {
-
-std::atomic<bool>& arena_flag() {
-  static std::atomic<bool> enabled{
-      rtcc::util::env_knob_bool("RTCC_ARENA", true)};
-  return enabled;
-}
-
-}  // namespace
-
-bool arena_enabled() { return arena_flag().load(std::memory_order_relaxed); }
-
-void set_arena_enabled(bool enabled) {
-  arena_flag().store(enabled, std::memory_order_relaxed);
-}
 
 FrameArena::Slab& FrameArena::writable_tail(std::size_t n) {
   if (!slabs_.empty()) {

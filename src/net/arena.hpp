@@ -29,27 +29,6 @@
 
 namespace rtcc::net {
 
-/// Process-wide switch between arena-backed traces (default) and the
-/// legacy one-owned-buffer-per-frame representation, kept as the
-/// equivalence oracle. Initialised once from RTCC_ARENA ("0" disables);
-/// set_arena_enabled overrides it at runtime (tests, benches).
-[[nodiscard]] bool arena_enabled();
-void set_arena_enabled(bool enabled);
-
-/// RAII mode flip used by equivalence tests and A/B benchmarks.
-class ArenaModeGuard {
- public:
-  explicit ArenaModeGuard(bool enabled) : prev_(arena_enabled()) {
-    set_arena_enabled(enabled);
-  }
-  ~ArenaModeGuard() { set_arena_enabled(prev_); }
-  ArenaModeGuard(const ArenaModeGuard&) = delete;
-  ArenaModeGuard& operator=(const ArenaModeGuard&) = delete;
-
- private:
-  bool prev_;
-};
-
 class FrameArena {
  public:
   /// Owned slabs grow in 1 MiB steps: large enough that a full-scale

@@ -532,7 +532,7 @@ Frame build_frame_arena(FrameArena& arena, double ts, const FrameSpec& spec,
   const std::size_t n = frame_wire_size(spec, payload.size());
   std::uint64_t off = 0;
   write_frame(arena.alloc(n, off), spec, payload);
-  return Frame{ts, {}, off, static_cast<std::uint32_t>(n)};
+  return Frame{ts, off, static_cast<std::uint32_t>(n)};
 }
 
 }  // namespace rtcc::net

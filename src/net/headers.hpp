@@ -39,23 +39,19 @@ constexpr std::uint32_t kLinkSll2 = 276;      // Linux cooked v2
 
 /// One captured frame: timestamp (seconds since experiment epoch) plus
 /// raw Ethernet bytes, exactly what a pcap record stores. The bytes
-/// live either in `data` (legacy owned-buffer mode) or, when `data` is
-/// empty, at [off, off+len) in the owning Trace's FrameArena — resolve
-/// through Trace::bytes(), never through these fields directly.
+/// live at [off, off+len) in the owning Trace's FrameArena — resolve
+/// them through Trace::bytes(), never through these fields directly.
 struct Frame {
   double ts = 0.0;
-  rtcc::util::Bytes data;  // legacy owned storage; empty when arena-backed
-  std::uint64_t off = 0;   // arena offset (arena-backed frames)
-  std::uint32_t len = 0;   // arena view length
+  std::uint64_t off = 0;  // arena offset
+  std::uint32_t len = 0;  // stored (captured) length
   /// Original on-the-wire length (pcap orig_len); 0 means "same as the
   /// stored bytes". When larger than size(), the capture clipped the
   /// frame at its snaplen and decode rejects are clipping, not
   /// corruption.
   std::uint32_t orig_len = 0;
 
-  [[nodiscard]] std::size_t size() const {
-    return data.empty() ? len : data.size();
-  }
+  [[nodiscard]] std::size_t size() const { return len; }
   [[nodiscard]] bool snaplen_clipped() const { return orig_len > size(); }
 };
 

@@ -7,7 +7,7 @@
 // code/data working sets, evicting each other's branch and cache state
 // every few hundred instructions. Instead, the pipeline moves whole
 // *vectors* of packet descriptors through one node at a time: each node
-// runs its loop over up to batch_size() packets before the next node
+// runs its loop over up to kBatchSize packets before the next node
 // starts, so its code, lookup tables and branch history stay hot for
 // the whole vector.
 //
@@ -20,14 +20,9 @@
 // while processing packet i (software pipelining; the prefetch distance
 // covers roughly the per-packet node work).
 //
-// batch_size() is the process-wide vector length: default 256 (the VPP
-// frame size; big enough to amortize per-vector overhead, small enough
-// that 256 descriptors + staged per-vector state stay L2-resident),
-// overridable with the RTCC_BATCH env knob and at runtime with
-// set_batch_size / BatchModeGuard. Size 1 selects the legacy
-// one-datagram-at-a-time path, kept (like RTCC_ARENA=0) as the
-// full-matrix equivalence oracle — both paths produce byte-identical
-// analyses, enforced by testkit batch-parity oracles.
+// kBatchSize is the vector length: 256, the VPP frame size — big
+// enough to amortize per-vector overhead, small enough that 256
+// descriptors + staged per-vector state stay L2-resident.
 #pragma once
 
 #include <cstddef>
@@ -38,28 +33,9 @@
 
 namespace rtcc::net {
 
-/// Process-wide pipeline vector length (>= 1). Initialised once from
-/// RTCC_BATCH (unset / unparseable / < 1 -> 256).
-[[nodiscard]] std::size_t batch_size();
-/// Runtime override (tests, benches, oracles); values < 1 clamp to 1.
-/// Returns the size actually applied.
-std::size_t set_batch_size(std::size_t size);
-
-constexpr std::size_t kDefaultBatchSize = 256;
-
-/// RAII batch-size flip used by equivalence tests and A/B benchmarks.
-class BatchModeGuard {
- public:
-  explicit BatchModeGuard(std::size_t size) : prev_(batch_size()) {
-    set_batch_size(size);
-  }
-  ~BatchModeGuard() { set_batch_size(prev_); }
-  BatchModeGuard(const BatchModeGuard&) = delete;
-  BatchModeGuard& operator=(const BatchModeGuard&) = delete;
-
- private:
-  std::size_t prev_;
-};
+/// Pipeline vector length: every node loop runs over at most this
+/// many packets.
+constexpr std::size_t kBatchSize = 256;
 
 /// Hint-prefetch the cache line at `p` (read intent, moderate locality).
 /// No-op where the builtin is unavailable; never faults on any address.
@@ -82,7 +58,7 @@ constexpr std::size_t kPrefetchAhead = RTCC_PREFETCH_AHEAD;
 
 /// SoA descriptor vector for one stream's datagrams: parallel arrays
 /// indexed by packet position. Payload bytes are *borrowed* (arena slab
-/// or legacy frame buffers) and must outlive the batch.
+/// or reassembly buffer) and must outlive the batch.
 struct PacketBatch {
   std::vector<const std::uint8_t*> data;
   std::vector<std::uint32_t> len;

@@ -122,18 +122,14 @@ bool parse_pcap(BytesView data, std::string* error, IngestStats& stats,
 Frame& Trace::add_frame(double ts, BytesView bytes) {
   Frame f;
   f.ts = ts;
-  if (use_arena_) {
-    f.len = static_cast<std::uint32_t>(bytes.size());
-    f.off = bytes.empty() ? 0 : arena_.append(bytes);
-  } else {
-    f.data.assign(bytes.begin(), bytes.end());
-  }
-  return add_frame(std::move(f));
+  f.len = static_cast<std::uint32_t>(bytes.size());
+  f.off = bytes.empty() ? 0 : arena_.append(bytes);
+  return add_frame(f);
 }
 
-Frame& Trace::add_frame(Frame f) {
+Frame& Trace::add_frame(const Frame& f) {
   total_bytes_ += f.size();
-  frames_.push_back(std::move(f));
+  frames_.push_back(f);
   return frames_.back();
 }
 
@@ -207,13 +203,13 @@ std::optional<Trace> decode_pcap(BytesView data, std::string* error) {
 std::optional<Trace> decode_pcap_zero_copy(BytesView data,
                                            std::shared_ptr<void> keepalive,
                                            std::string* error) {
-  Trace trace(/*use_arena=*/true);
+  Trace trace;
   const std::uint64_t base = trace.adopt_buffer(data, std::move(keepalive));
   std::uint32_t linktype = kLinkEthernet;
   if (!parse_pcap(data, error, trace.ingest(), linktype,
                   [&](double ts, std::size_t pos, std::uint32_t incl,
                       std::uint32_t orig) {
-                    trace.add_frame(Frame{ts, {}, base + pos, incl, orig});
+                    trace.add_frame(Frame{ts, base + pos, incl, orig});
                   }))
     return std::nullopt;
   trace.set_linktype(linktype);
@@ -227,58 +223,50 @@ std::optional<Trace> decode_pcap_owned(Bytes data, std::string* error) {
 
 namespace {
 
-std::optional<Trace> read_pcap_buffered(std::FILE* fp, bool zero_copy,
-                                        std::string* error) {
+std::optional<Trace> read_pcap_buffered(std::FILE* fp, std::string* error) {
   Bytes data;
   std::uint8_t buf[1 << 16];
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), fp)) > 0)
     data.insert(data.end(), buf, buf + n);
-  if (zero_copy) return decode_pcap_owned(std::move(data), error);
-  return decode_pcap(BytesView{data}, error);
+  return decode_pcap_owned(std::move(data), error);
 }
 
 }  // namespace
 
 std::optional<Trace> read_pcap(const std::string& path, std::string* error) {
 #ifdef RTCC_HAS_MMAP
-  if (arena_enabled()) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      set_error(error, "pcap: cannot open file");
-      return std::nullopt;
-    }
-    struct stat st;
-    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-      const auto len = static_cast<std::size_t>(st.st_size);
-      void* map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-      if (map != MAP_FAILED) {
-        ::close(fd);
-        std::shared_ptr<void> unmapper(
-            map, [len](void* p) { ::munmap(p, len); });
-        return decode_pcap_zero_copy(
-            BytesView{static_cast<const std::uint8_t*>(map), len},
-            std::move(unmapper), error);
-      }
-    }
-    // mmap unavailable (empty file, pipe, weird fs): single-buffer read.
-    std::unique_ptr<std::FILE, int (*)(std::FILE*)> fp(::fdopen(fd, "rb"),
-                                                       &std::fclose);
-    if (!fp) {
-      ::close(fd);
-      set_error(error, "pcap: cannot open file");
-      return std::nullopt;
-    }
-    return read_pcap_buffered(fp.get(), /*zero_copy=*/true, error);
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    set_error(error, "pcap: cannot open file");
+    return std::nullopt;
   }
-#endif
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    const auto len = static_cast<std::size_t>(st.st_size);
+    void* map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map != MAP_FAILED) {
+      ::close(fd);
+      std::shared_ptr<void> unmapper(map,
+                                     [len](void* p) { ::munmap(p, len); });
+      return decode_pcap_zero_copy(
+          BytesView{static_cast<const std::uint8_t*>(map), len},
+          std::move(unmapper), error);
+    }
+  }
+  // mmap unavailable (empty file, pipe, weird fs): single-buffer read.
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> fp(::fdopen(fd, "rb"),
+                                                     &std::fclose);
+  if (!fp) ::close(fd);
+#else
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> fp(
       std::fopen(path.c_str(), "rb"), &std::fclose);
+#endif
   if (!fp) {
     set_error(error, "pcap: cannot open file");
     return std::nullopt;
   }
-  return read_pcap_buffered(fp.get(), arena_enabled(), error);
+  return read_pcap_buffered(fp.get(), error);
 }
 
 bool write_pcap(const std::string& path, const Trace& trace,

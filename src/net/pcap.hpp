@@ -13,12 +13,10 @@
 // native little-endian microsecond order like tcpdump does, preserving
 // the trace's linktype and each frame's orig_len.
 //
-// Reading is zero-copy by default: read_pcap mmaps the file (read()
-// with a single whole-file buffer as fallback), adopts the buffer into
-// the trace's FrameArena, and registers each frame as an {offset, len}
-// view over the file bytes — no per-packet allocation or copy. The
-// legacy one-owned-buffer-per-frame path is kept behind RTCC_ARENA=0
-// as the equivalence oracle (see net/arena.hpp).
+// Reading is zero-copy: read_pcap mmaps the file (read() with a single
+// whole-file buffer as fallback), adopts the buffer into the trace's
+// FrameArena, and registers each frame as an {offset, len} view over
+// the file bytes — no per-packet allocation or copy.
 #pragma once
 
 #include <memory>
@@ -33,14 +31,11 @@ namespace rtcc::net {
 
 /// An ordered capture: what one Wireshark session on one device saw.
 /// Frames are appended through add_frame (never by mutating a frames()
-/// element), which keeps the byte total cached and routes storage into
-/// the arena or per-frame owned buffers depending on the trace's mode.
+/// element), which keeps the byte total cached; their bytes always
+/// live in the trace's FrameArena.
 class Trace {
  public:
-  /// Mode follows the process-wide arena_enabled() switch.
-  Trace() : use_arena_(arena_enabled()) {}
-  explicit Trace(bool use_arena) : use_arena_(use_arena) {}
-
+  Trace() = default;
   Trace(Trace&&) noexcept = default;
   Trace& operator=(Trace&&) noexcept = default;
   Trace(const Trace&) = delete;
@@ -51,7 +46,6 @@ class Trace {
   [[nodiscard]] bool empty() const { return frames_.empty(); }
   /// Sum of all frame sizes — cached on append, O(1).
   [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
-  [[nodiscard]] bool uses_arena() const { return use_arena_; }
   [[nodiscard]] const FrameArena& arena() const { return arena_; }
   [[nodiscard]] FrameArena& arena() { return arena_; }
 
@@ -66,10 +60,9 @@ class Trace {
   [[nodiscard]] const IngestStats& ingest() const { return ingest_; }
   [[nodiscard]] IngestStats& ingest() { return ingest_; }
 
-  /// Resolves a frame's wire bytes regardless of storage mode.
+  /// Resolves a frame's wire bytes.
   [[nodiscard]] rtcc::util::BytesView bytes(const Frame& f) const {
-    return f.data.empty() ? arena_.view(f.off, f.len)
-                          : rtcc::util::BytesView{f.data};
+    return arena_.view(f.off, f.len);
   }
   [[nodiscard]] rtcc::util::BytesView frame_bytes(std::size_t i) const {
     return bytes(frames_[i]);
@@ -77,15 +70,13 @@ class Trace {
 
   void reserve(std::size_t n) { frames_.reserve(n); }
 
-  /// Copies `bytes` into this trace's storage (arena slab or per-frame
-  /// owned buffer) and appends the frame.
+  /// Copies `bytes` onto this trace's arena and appends the frame.
   Frame& add_frame(double ts, rtcc::util::BytesView bytes);
 
-  /// Adopts a prebuilt frame: either one owning its bytes, or an
-  /// arena-backed view into this trace's arena (e.g. produced by
-  /// build_frame_arena against arena() or an arena later passed to
-  /// adopt_arena).
-  Frame& add_frame(Frame f);
+  /// Adopts a prebuilt frame: a view into this trace's arena (e.g.
+  /// produced by build_frame_arena against arena() or an arena later
+  /// passed to adopt_arena).
+  Frame& add_frame(const Frame& f);
 
   /// Takes over an externally built arena (the emulator builds frames
   /// into a CallContext arena, sorts the descriptors, then hands the
@@ -106,7 +97,6 @@ class Trace {
   std::uint64_t total_bytes_ = 0;
   std::uint32_t linktype_ = kLinkEthernet;
   IngestStats ingest_;
-  bool use_arena_ = true;
 };
 
 struct PcapError {
@@ -116,8 +106,8 @@ struct PcapError {
 /// Reads an entire .pcap file. Returns an error message only for files
 /// that cannot be a capture (short global header, unknown magic); every
 /// record-level defect is fail-soft and counted in the trace's
-/// ingest(). In arena mode the file is mmap'ed (or read once into a
-/// single adopted buffer) and frames are zero-copy views into it.
+/// ingest(). The file is mmap'ed (or read once into a single adopted
+/// buffer) and frames are zero-copy views into it.
 [[nodiscard]] std::optional<Trace> read_pcap(const std::string& path,
                                              std::string* error = nullptr);
 
@@ -126,7 +116,7 @@ struct PcapError {
                               std::string* error = nullptr);
 
 /// In-memory round trip used heavily by tests. decode_pcap copies frame
-/// bytes out of `data` (into the arena, or per-frame in legacy mode).
+/// bytes out of `data` onto the trace's arena.
 [[nodiscard]] rtcc::util::Bytes encode_pcap(const Trace& trace);
 
 /// Capture-artifact knobs for encode_pcap_ex. The default reproduces

@@ -103,9 +103,9 @@ std::uint64_t peak_rss_bytes() {
 CorpusResult run_corpus(const CorpusOptions& opts) {
   const auto& cfg = opts.experiment;
 
-  // Same enumeration as run_experiment: app-major, then network, then
-  // repeat — slot i of every result vector belongs to job i, so the
-  // merge order (and thus the aggregates) is independent of scheduling.
+  // App-major, then network, then repeat — slot i of every result
+  // vector belongs to job i, so the merge order (and thus the
+  // aggregates) is independent of scheduling.
   struct Job {
     rtcc::emul::AppId app;
     rtcc::emul::NetworkSetup network;
@@ -135,10 +135,7 @@ CorpusResult run_corpus(const CorpusOptions& opts) {
   if (slots == 0) slots = serial ? 1 : std::size_t{2} * pool.worker_count();
   TraceGate gate(slots);
 
-  const std::size_t nshards =
-      cfg.analysis.parallel_streams
-          ? (cfg.analysis.shards != 0 ? cfg.analysis.shards : shard_count())
-          : 1;
+  const std::size_t nshards = effective_shards(cfg.analysis);
 
   std::vector<CallAnalysis> analyses(jobs.size());
   std::vector<CorpusCallStats> stats(jobs.size());

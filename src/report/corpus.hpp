@@ -1,17 +1,16 @@
-// Streaming call-corpus pipeline.
+// Streaming call-corpus pipeline: the one driver behind every
+// experiment matrix (run_experiment in metrics.hpp delegates here).
 //
-// run_experiment (metrics.hpp) materializes one CallAnalysis per call
-// and lets each call's multi-megabyte trace die inside its task — but
-// it offers no visibility into, or bound on, how many traces are alive
-// at once. run_corpus makes that bound explicit: calls are generated →
-// grouped → filtered → DPI-analyzed on the shared work-stealing pool
-// with at most `max_live_traces` traces in memory simultaneously
-// (a condition-variable gate admits new generations as finished calls
-// release their slot), and the result carries the memory/throughput
-// counters the paper-scale 90-call corpus is judged on: peak
-// concurrently-live trace bytes, process peak RSS, and end-to-end
-// MB/s. Aggregates are merged app-major, so the per-app analyses are
-// bit-identical to run_experiment over the same matrix.
+// Each call's multi-megabyte trace dies as soon as its analysis is
+// done, and run_corpus bounds how many are alive at once: calls are
+// generated → grouped → filtered → DPI-analyzed on the shared
+// work-stealing pool with at most `max_live_traces` traces in memory
+// simultaneously (a condition-variable gate admits new generations as
+// finished calls release their slot), and the result carries the
+// memory/throughput counters the paper-scale 90-call corpus is judged
+// on: peak concurrently-live trace bytes, process peak RSS, and
+// end-to-end MB/s. Aggregates are merged app-major, so the per-app
+// analyses are bit-identical for every exec mode and shard count.
 #pragma once
 
 #include <map>
@@ -25,7 +24,7 @@ namespace rtcc::report {
 struct CorpusOptions {
   /// The call matrix, analysis options, and exec mode. kSerial runs
   /// the whole pipeline on the calling thread (the gate degenerates to
-  /// max_live_traces = 1); kWave is treated as kPooled here.
+  /// max_live_traces = 1).
   ExperimentConfig experiment;
   /// Upper bound on traces alive at once. 0 = 2x the pool's worker
   /// count (workers stay busy while the next generation is admitted)

@@ -1,15 +1,12 @@
 #include "report/metrics.hpp"
 
-#include <cstdlib>
-#include <future>
+#include <algorithm>
 #include <limits>
-#include <thread>
 
-#include "net/flow_hash.hpp"
+#include "report/corpus.hpp"
 #include "report/shard.hpp"
 #include "stream/engine.hpp"
 #include "util/env_knob.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rtcc::report {
 
@@ -100,7 +97,7 @@ void analyze_stream_batch(const rtcc::dpi::ScanningDpi& dpi,
                           const rtcc::compliance::ComplianceConfig& ccfg,
                           const rtcc::net::PacketBatch& batch,
                           CallAnalysis& part) {
-  const std::size_t bsz = rtcc::net::batch_size();
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
   const auto analyses = dpi.analyze_batch(batch, &part.nodes);
 
   // Compliance node, phase 1: observe every extracted message to
@@ -161,25 +158,12 @@ void analyze_stream_batch(const rtcc::dpi::ScanningDpi& dpi,
 
 }  // namespace detail
 
-namespace {
-
-/// Shard count an analysis actually runs with: the per-call override,
-/// else the global RTCC_SHARDS knob; forced to 1 (unsharded) when
-/// parallelism is off entirely (RTCC_PARALLEL=0 means fully serial).
-std::size_t effective_shards(const AnalysisOptions& opts) {
-  if (!opts.parallel_streams) return 1;
-  return opts.shards != 0 ? opts.shards : shard_count();
-}
-
-}  // namespace
-
 CallAnalysis analyze_trace(const rtcc::net::Trace& trace,
                            const rtcc::filter::FilterConfig& fcfg,
                            const AnalysisOptions& opts,
                            std::vector<CallAnalysis>* per_stream) {
   // RTCC_STREAM=1 routes through the one-pass engine (DESIGN.md §6c);
-  // the batch path below stays live as its equivalence oracle, like
-  // RTCC_ARENA=0 / RTCC_BATCH=1 / RTCC_SHARDS=1.
+  // the batch path below stays live as its equivalence oracle.
   if (rtcc::stream::stream_enabled())
     return rtcc::stream::analyze_trace_streaming(
         trace, fcfg, opts, rtcc::stream::stream_options_from_env(),
@@ -190,10 +174,9 @@ CallAnalysis analyze_trace(const rtcc::net::Trace& trace,
 
   // Streams are independent (all validation heuristics and compliance
   // context are stream-scoped), so each one fills its own partial.
-  // Partials merge in a fixed order — stream order below, shard order
-  // on the sharded path — and merge() is order-insensitive, so output
-  // is identical across the serial loop, the pool, and every shard
-  // count.
+  // Partials merge in a fixed order — stream order on the serial path,
+  // shard order on the sharded one — and merge() is order-insensitive,
+  // so output is identical at every shard count.
   const auto& rtc_streams = pre.report.rtc_udp_streams;
   std::vector<CallAnalysis> partials(rtc_streams.size());
   const std::size_t nshards = effective_shards(opts);
@@ -218,10 +201,10 @@ CallAnalysis analyze_trace(const rtcc::net::Trace& trace,
         if (routed[si] == s) merge(out, partials[si]);
   } else {
     const ScanningDpi dpi(opts.scan);
-    const auto analyze_one_stream = [&](std::size_t si) {
+    constexpr std::size_t bsz = rtcc::net::kBatchSize;
+    for (std::size_t si = 0; si < rtc_streams.size(); ++si) {
       const auto& stream = table.streams[rtc_streams[si]];
       CallAnalysis& part = partials[si];
-      const std::size_t bsz = rtcc::net::batch_size();
       const std::size_t n = stream.packets.size();
       rtcc::net::PacketBatch batch;
       batch.reserve(n);
@@ -229,16 +212,8 @@ CallAnalysis analyze_trace(const rtcc::net::Trace& trace,
         detail::decode_stream_chunk(trace, table, stream, base,
                                     std::min(n, base + bsz), batch, part);
       detail::analyze_stream_batch(dpi, opts.compliance, batch, part);
-    };
-
-    if (opts.parallel_streams && rtc_streams.size() > 1) {
-      rtcc::util::ThreadPool::shared().parallel_for(rtc_streams.size(),
-                                                    analyze_one_stream);
-    } else {
-      for (std::size_t si = 0; si < rtc_streams.size(); ++si)
-        analyze_one_stream(si);
+      merge(out, part);
     }
-    for (const auto& part : partials) merge(out, part);
   }
   if (per_stream != nullptr) *per_stream = std::move(partials);
   return out;
@@ -301,85 +276,9 @@ void merge(CallAnalysis& into, const CallAnalysis& from) {
 
 std::map<rtcc::emul::AppId, CallAnalysis> run_experiment(
     const ExperimentConfig& cfg) {
-  // Enumerate the full call matrix up front so the parallel path can
-  // dispatch one task per call while keeping a deterministic merge
-  // order (app-major, then network, then repeat).
-  struct Job {
-    rtcc::emul::AppId app;
-    rtcc::emul::CallConfig call_cfg;
-  };
-  std::vector<Job> jobs;
-  for (auto app : cfg.apps) {
-    for (auto network : cfg.networks) {
-      for (int repeat = 0; repeat < cfg.repeats; ++repeat) {
-        rtcc::emul::CallConfig call_cfg;
-        call_cfg.app = app;
-        call_cfg.network = network;
-        call_cfg.media_scale = cfg.media_scale;
-        call_cfg.call_s = cfg.call_s;
-        call_cfg.background = cfg.background;
-        call_cfg.seed = cfg.seed;
-        call_cfg.call_index = repeat;
-        jobs.push_back(Job{app, call_cfg});
-      }
-    }
-  }
-
-  auto run_one = [&cfg](const rtcc::emul::CallConfig& call_cfg) {
-    const auto call = rtcc::emul::emulate_call(call_cfg);
-    return analyze_call(call, cfg.analysis);
-  };
-
-  std::vector<CallAnalysis> results(jobs.size());
-  switch (jobs.size() > 1 ? cfg.exec : ExecMode::kSerial) {
-    case ExecMode::kSerial:
-      for (std::size_t i = 0; i < jobs.size(); ++i)
-        results[i] = run_one(jobs[i].call_cfg);
-      break;
-    case ExecMode::kWave: {
-      // Legacy dispatch, kept as the benchmark baseline: core-count
-      // waves of std::async with a barrier per wave, so one slow call
-      // (relay-mode Zoom with filler bursts) idles the rest of its
-      // wave.
-      const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-      for (std::size_t base = 0; base < jobs.size(); base += hw) {
-        const std::size_t end = std::min(jobs.size(), base + hw);
-        std::vector<std::future<CallAnalysis>> futures;
-        for (std::size_t i = base; i < end; ++i)
-          futures.push_back(
-              std::async(std::launch::async, run_one, jobs[i].call_cfg));
-        for (std::size_t i = base; i < end; ++i)
-          results[i] = futures[i - base].get();
-      }
-      break;
-    }
-    case ExecMode::kPooled:
-      // Persistent work-stealing pool: the pool is bounded by the core
-      // count (each call allocates a multi-megabyte trace, so unbounded
-      // async would oversubscribe CPU and memory), and a finished
-      // worker immediately steals the next undone call.
-      rtcc::util::ThreadPool::shared().parallel_for(
-          jobs.size(),
-          [&](std::size_t i) { results[i] = run_one(jobs[i].call_cfg); });
-      break;
-  }
-
-  std::map<rtcc::emul::AppId, CallAnalysis> out;
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    merge(out[jobs[i].app], results[i]);
-  return out;
-}
-
-std::string to_string(ExecMode m) {
-  switch (m) {
-    case ExecMode::kSerial:
-      return "serial";
-    case ExecMode::kWave:
-      return "wave";
-    case ExecMode::kPooled:
-      return "pooled";
-  }
-  return "?";
+  CorpusOptions opts;
+  opts.experiment = cfg;
+  return run_corpus(opts).per_app;
 }
 
 ExperimentConfig experiment_config_from_env() {
@@ -391,14 +290,13 @@ ExperimentConfig experiment_config_from_env() {
   cfg.seed = static_cast<std::uint64_t>(rtcc::util::env_knob_ll(
       "RTCC_SEED", static_cast<long long>(cfg.seed), 0,
       std::numeric_limits<long long>::max()));
-  // RTCC_PARALLEL=0/false/off forces fully serial execution (calls,
-  // per-call streams, and flow sharding); results are identical either
-  // way — the knob only changes dispatch. A value outside the boolean
-  // grammar warns and keeps the pooled default (it used to silently
-  // parse as 0 and go serial).
+  // RTCC_PARALLEL=0/false/off forces fully serial execution (calls
+  // and each call's streams, no shard workers); results are identical
+  // either way — the knob only changes dispatch. A value outside the
+  // boolean grammar warns and keeps the pooled default.
   if (!rtcc::util::env_knob_bool("RTCC_PARALLEL", true)) {
     cfg.exec = ExecMode::kSerial;
-    cfg.analysis.parallel_streams = false;
+    cfg.analysis.shards = 1;
   }
   return cfg;
 }

@@ -18,15 +18,11 @@ namespace rtcc::report {
 struct AnalysisOptions {
   rtcc::dpi::ScanOptions scan;
   rtcc::compliance::ComplianceConfig compliance;
-  /// Analyze a call's RTC UDP streams concurrently on the shared
-  /// thread pool. Per-stream partial results merge in stream order, so
-  /// output is identical to the serial loop. false also disables flow
-  /// sharding (RTCC_PARALLEL=0 means fully serial).
-  bool parallel_streams = true;
   /// Flow-shard worker count for this analysis. 0 defers to the global
-  /// RTCC_SHARDS knob (report/shard.hpp); 1 forces the unsharded path;
-  /// N > 1 routes streams to N shard workers by symmetric 5-tuple hash.
-  /// Output is bit-identical for every value (DESIGN.md §7).
+  /// RTCC_SHARDS knob (report/shard.hpp); 1 analyzes the streams
+  /// serially on the calling thread; N > 1 routes streams to N shard
+  /// workers by symmetric 5-tuple hash. Output is bit-identical for
+  /// every value (DESIGN.md §7).
   std::size_t shards = 0;
 };
 
@@ -125,7 +121,7 @@ struct CallAnalysis {
   // --- Vector-pipeline diagnostics (DESIGN.md §6) ---
   // Per-node vectors/packets/suspended tallies from the batched
   // decode → demux → prefilter → scan → compliance graph. Diagnostic
-  // only: vectors depends on RTCC_BATCH, so equivalence signatures
+  // only: they depend on the extraction path, so equivalence signatures
   // exclude these (the report JSON surfaces them under "nodes").
   rtcc::dpi::PipelineCounters nodes;
 
@@ -172,17 +168,13 @@ struct CallAnalysis {
 
 void merge(CallAnalysis& into, const CallAnalysis& from);
 
-/// How run_experiment dispatches the per-call tasks. All three produce
+/// How the corpus driver dispatches the per-call tasks. Both produce
 /// bit-identical results (fixed app-major merge order); they differ
-/// only in wall-clock. kWave is kept as the ablation baseline for the
-/// pool benchmarks.
+/// only in wall-clock.
 enum class ExecMode : std::uint8_t {
   kSerial,  // one call at a time on the calling thread
-  kWave,    // core-count-sized std::async waves with a barrier per wave
   kPooled,  // persistent work-stealing pool (util/thread_pool.hpp)
 };
-
-[[nodiscard]] std::string to_string(ExecMode m);
 
 /// The paper's experiment matrix: apps × network configs × repeats.
 struct ExperimentConfig {
@@ -200,6 +192,7 @@ struct ExperimentConfig {
   AnalysisOptions analysis;
 };
 
+/// The matrix's merged analysis per app: run_corpus({cfg}).per_app.
 [[nodiscard]] std::map<rtcc::emul::AppId, CallAnalysis> run_experiment(
     const ExperimentConfig& cfg);
 
@@ -213,7 +206,7 @@ namespace detail {
 /// The single-threaded front of analyze_trace: grouping + two-stage
 /// filter, which must see the whole trace (stage 2 draws cross-stream
 /// evidence from removed streams), before the per-stream hot path
-/// fans out. Shared by the pooled path and the sharded corpus producer.
+/// fans out. Shared by analyze_trace and the sharded corpus producer.
 struct TracePrelude {
   CallAnalysis base;               // stage stats + ingest, no stream work
   rtcc::net::StreamTable table;    // owns reassembled payload buffers
@@ -225,7 +218,7 @@ struct TracePrelude {
 
 /// Decode node over one batch-sized chunk of a stream: resolves packet
 /// descriptors [base, end) into the SoA batch and books the decode
-/// counters into `part`. Identical code on the pooled and sharded
+/// counters into `part`. Identical code on the serial and sharded
 /// paths, so node counters are shard-invariant.
 void decode_stream_chunk(const rtcc::net::Trace& trace,
                          const rtcc::net::StreamTable& table,

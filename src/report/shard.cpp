@@ -55,6 +55,10 @@ std::size_t set_shard_count(std::size_t count) {
   return shard_count();
 }
 
+std::size_t effective_shards(const AnalysisOptions& opts) {
+  return opts.shards != 0 ? opts.shards : shard_count();
+}
+
 /// One worker's world: its ring, its thread, and the first exception it
 /// hit. Heap-allocated so the vector of shards never relocates a live
 /// ring.
@@ -91,7 +95,7 @@ std::size_t ShardedPipeline::submit_stream(
     std::shared_ptr<const void> keepalive) {
   const std::size_t target = rtcc::net::shard_of(stream.key, workers_.size());
   auto& ring = workers_[target]->ring;
-  const std::size_t bsz = rtcc::net::batch_size();
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
   const std::size_t n = stream.packets.size();
   const std::uint64_t slot = next_slot_++;
 
@@ -133,7 +137,7 @@ std::size_t ShardedPipeline::submit_batch(
     CallAnalysis* partial, std::shared_ptr<const void> keepalive) {
   const std::size_t target = rtcc::net::shard_of(key, workers_.size());
   auto& ring = workers_[target]->ring;
-  const std::size_t bsz = rtcc::net::batch_size();
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
   const std::size_t n = batch.size();
   const std::uint64_t slot = next_slot_++;
 

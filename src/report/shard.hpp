@@ -16,9 +16,8 @@
 // per-stream (so node counters cannot see the shard count), and
 // partials merge in fixed shard order via the existing merge() — whose
 // order-insensitivity PR 5's merge-order oracle pins. Output is
-// therefore bit-identical for every shard count; RTCC_SHARDS=1 keeps
-// the unsharded path alive as the equivalence oracle, the same pattern
-// as RTCC_ARENA=0 and RTCC_BATCH=1.
+// therefore bit-identical for every shard count; RTCC_SHARDS=1 runs the
+// unsharded serial path, the equivalence oracle.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +49,11 @@ inline constexpr std::size_t kAutoShards = 0;
 /// Values above kMaxShards clamp.
 std::size_t set_shard_count(std::size_t count);
 
-/// RAII pin for tests/benches, mirroring net::BatchModeGuard.
+/// Shard count one analysis runs with: `opts.shards` when set, else
+/// shard_count(). 1 means the serial, unsharded path.
+[[nodiscard]] std::size_t effective_shards(const AnalysisOptions& opts);
+
+/// RAII pin for tests/benches.
 class ShardModeGuard {
  public:
   explicit ShardModeGuard(std::size_t count)
@@ -78,7 +81,7 @@ class ShardedPipeline {
     std::size_t shards = 2;
     /// Ring slots per shard (rounded up to a power of two). Sized so a
     /// burst of chunks for one shard doesn't stall the producer, while
-    /// bounding in-flight memory to O(shards * depth * batch_size).
+    /// bounding in-flight memory to O(shards * depth * kBatchSize).
     std::size_t ring_depth = 64;
     rtcc::dpi::ScanOptions scan;
     rtcc::compliance::ComplianceConfig compliance;
@@ -107,7 +110,7 @@ class ShardedPipeline {
   /// Pre-decoded variant for the streaming engine: hands a whole-flow
   /// batch (already resolved payload descriptors, decode counters
   /// already booked into `*partial` by the caller) to the shard owning
-  /// `key`, chunked by batch_size() so the shard's handoff accounting
+  /// `key`, chunked by kBatchSize so the shard's handoff accounting
   /// is byte-identical to submit_stream's. `keepalive` must pin the
   /// payload bytes the batch views. Producer thread only.
   std::size_t submit_batch(const rtcc::net::FlowKey& key,

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace rtcc::service {
@@ -19,17 +20,52 @@ void close_if(int& fd) {
   }
 }
 
-/// Full write with EINTR retry; best-effort (the peer may close early).
-void write_all(int fd, const std::string& data) {
+using Clock = std::chrono::steady_clock;
+
+/// Budget for one client connection, request read and response write
+/// together: a silent or stalled scraper must not hold the only serving
+/// thread (or stop()) for longer than this.
+constexpr auto kClientDeadline = std::chrono::seconds(1);
+
+enum class Wait : std::uint8_t { kReady, kStop, kTimeout };
+
+/// Polls `fd` for `events` together with the stop pipe until
+/// `deadline`. Errors and hang-ups on `fd` count as ready: the next
+/// recv/send reports them.
+Wait wait_for(int fd, short events, int stop_fd, Clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - Clock::now())
+                          .count();
+    if (left <= 0) return Wait::kTimeout;
+    pollfd fds[2] = {{fd, events, 0}, {stop_fd, POLLIN, 0}};
+    const int rc = ::poll(fds, 2, static_cast<int>(left));
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc <= 0) return Wait::kTimeout;
+    if ((fds[1].revents & POLLIN) != 0) return Wait::kStop;
+    if (fds[0].revents != 0) return Wait::kReady;
+  }
+}
+
+/// Full send of `data` on the non-blocking `fd` before `deadline`.
+/// Best-effort: a peer that hangs up ends it, and MSG_NOSIGNAL keeps
+/// that from raising SIGPIPE. Returns kStop when stop() fired.
+Wait send_all(int fd, const std::string& data, int stop_fd,
+              Clock::time_point deadline) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n >= 0) {
+      off += static_cast<std::size_t>(n);
+      continue;
     }
-    off += static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return Wait::kReady;
+    const Wait w = wait_for(fd, POLLOUT, stop_fd, deadline);
+    if (w != Wait::kReady) return w;
   }
+  return Wait::kReady;
 }
 
 std::string http_response(int status, const char* reason,
@@ -109,39 +145,45 @@ void HttpExporter::serve() {
     if ((fds[1].revents & POLLIN) != 0) return;  // stop() woke us
     if ((fds[0].revents & POLLIN) == 0) continue;
 
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
+    const int client =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (client < 0) continue;
-    // One short read covers any sane "GET <path> HTTP/1.x" request
-    // line; this endpoint serves scrapers, not browsers.
-    char buf[2048];
-    const ssize_t n = ::read(client, buf, sizeof buf - 1);
-    if (n <= 0) {
-      ::close(client);
-      continue;
-    }
-    buf[n] = '\0';
-    std::string path;
-    if (std::strncmp(buf, "GET ", 4) == 0) {
-      const char* start = buf + 4;
-      const char* end = std::strchr(start, ' ');
-      if (end != nullptr) path.assign(start, end);
-    }
-
-    std::string response;
-    if (path == "/metrics") {
-      response = http_response(200, "OK", registry_.render(),
-                               "text/plain; version=0.0.4");
-    } else if (path == "/healthz") {
-      const bool up = !healthy_ || healthy_();
-      response = up ? http_response(200, "OK", "ok\n", "text/plain")
-                    : http_response(503, "Service Unavailable", "draining\n",
-                                    "text/plain");
-    } else {
-      response = http_response(404, "Not Found", "not found\n", "text/plain");
-    }
-    write_all(client, response);
+    const bool stopped = !serve_client(client);
     ::close(client);
+    if (stopped) return;
   }
+}
+
+bool HttpExporter::serve_client(int client) {
+  const Clock::time_point deadline = Clock::now() + kClientDeadline;
+  const Wait readable = wait_for(client, POLLIN, stop_pipe_[0], deadline);
+  if (readable != Wait::kReady) return readable != Wait::kStop;
+  // One short read covers any sane "GET <path> HTTP/1.x" request
+  // line; this endpoint serves scrapers, not browsers.
+  char buf[2048];
+  const ssize_t n = ::recv(client, buf, sizeof buf - 1, 0);
+  if (n <= 0) return true;
+  buf[n] = '\0';
+  std::string path;
+  if (std::strncmp(buf, "GET ", 4) == 0) {
+    const char* start = buf + 4;
+    const char* end = std::strchr(start, ' ');
+    if (end != nullptr) path.assign(start, end);
+  }
+
+  std::string response;
+  if (path == "/metrics") {
+    response = http_response(200, "OK", registry_.render(),
+                             "text/plain; version=0.0.4");
+  } else if (path == "/healthz") {
+    const bool up = !healthy_ || healthy_();
+    response = up ? http_response(200, "OK", "ok\n", "text/plain")
+                  : http_response(503, "Service Unavailable", "draining\n",
+                                  "text/plain");
+  } else {
+    response = http_response(404, "Not Found", "not found\n", "text/plain");
+  }
+  return send_all(client, response, stop_pipe_[0], deadline) != Wait::kStop;
 }
 
 }  // namespace rtcc::service

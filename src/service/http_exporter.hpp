@@ -9,7 +9,12 @@
 //
 // Shutdown uses the self-pipe idiom: stop() writes one byte into a
 // pipe the accept loop polls alongside the listen socket, so the
-// thread wakes immediately without signals or timeouts.
+// thread wakes immediately without signals. Each client gets one fixed
+// 1 s deadline for its request and response, polled together with the
+// same pipe, so a silent or stalled scraper delays neither later
+// scrapes nor stop() by more than that; responses are sent with
+// MSG_NOSIGNAL, so a scraper hanging up mid-response cannot raise
+// SIGPIPE in the daemon.
 #pragma once
 
 #include <atomic>
@@ -42,6 +47,10 @@ class HttpExporter {
 
  private:
   void serve();
+  /// Reads one request from the accepted non-blocking `client` and
+  /// answers it within the client deadline. False when stop() fired
+  /// while waiting on the client.
+  bool serve_client(int client);
 
   const MetricsRegistry& registry_;
   std::function<bool()> healthy_;

@@ -17,14 +17,6 @@ using rtcc::report::CallAnalysis;
 
 namespace {
 
-/// Mirrors the private effective_shards in report/metrics.cpp: the
-/// per-call override, else the global RTCC_SHARDS knob; forced to 1
-/// when parallelism is off entirely.
-std::size_t effective_shards(const rtcc::report::AnalysisOptions& opts) {
-  if (!opts.parallel_streams) return 1;
-  return opts.shards != 0 ? opts.shards : rtcc::report::shard_count();
-}
-
 bool is_device(const IpAddr& ip, const rtcc::filter::FilterConfig& cfg) {
   return std::find(cfg.device_ips.begin(), cfg.device_ips.end(), ip) !=
          cfg.device_ips.end();
@@ -48,7 +40,7 @@ StreamingAnalyzer::StreamingAnalyzer(std::uint32_t linktype,
       decoder_(linktype),
       dpi_(opts.scan),
       in_flight_(std::make_shared<std::atomic<std::uint64_t>>(0)),
-      nshards_(effective_shards(opts)) {}
+      nshards_(rtcc::report::effective_shards(opts)) {}
 
 StreamingAnalyzer::~StreamingAnalyzer() = default;
 
@@ -204,8 +196,8 @@ void StreamingAnalyzer::analyze_record(FlowRecord& rec,
     if (fp.reasm) ++part.nodes.decode.suspended;
   }
   // Decode-node accounting replays decode_stream_chunk's bsz chunking,
-  // so node counters stay knob-consistent with the batch path.
-  const std::size_t bsz = rtcc::net::batch_size();
+  // so node counters match the batch path.
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
   for (std::size_t base = 0; base < n; base += bsz) {
     ++part.nodes.decode.vectors;
     part.nodes.decode.packets += std::min(n, base + bsz) - base;

@@ -2,7 +2,6 @@
 // analysis (default) and the one-pass streaming engine
 // (stream/engine.hpp).
 //
-// The knob follows the RTCC_ARENA / RTCC_BATCH / RTCC_SHARDS pattern:
 // =0 (the default) keeps the batch path alive as the live equivalence
 // oracle, =1 routes analyze_trace through the streaming engine. Both
 // paths must produce byte-identical merged reports (after stripping the
@@ -20,8 +19,7 @@ namespace rtcc::stream {
 [[nodiscard]] bool stream_enabled();
 void set_stream_enabled(bool enabled);
 
-/// RAII mode flip used by equivalence tests and A/B benchmarks,
-/// mirroring net::ArenaModeGuard.
+/// RAII mode flip used by equivalence tests and A/B benchmarks.
 class StreamModeGuard {
  public:
   explicit StreamModeGuard(bool enabled) : prev_(stream_enabled()) {

@@ -196,21 +196,23 @@ DriverStats run_fuzz_driver(const DriverOptions& opts) {
                        stream.datagrams, stream_oracle, /*shrink=*/true);
 
       // Batch-boundary shaping: tile the (already mutated) stream to a
-      // datagram count at the vector-size edges and assert the batch
+      // datagram count at the vector-size edges and assert the scan
       // and SIMD parity oracles right at the boundary — full, exactly
       // filled and one-over final vectors all extract identically. The
       // SIMD sweep is skipped on the largest counts to keep the
-      // sanitized CI budget affordable; batch parity always runs.
+      // sanitized CI budget affordable; scan parity always runs.
       const auto& counts = batch_boundary_counts();
       const std::size_t count =
           counts[(i / opts.stream_stride) % counts.size()];
       const auto shaped = mutate_batch_boundary(stream.datagrams, count, rng);
       ++stats.mutations_per_family["batch_boundary"];
-      const StreamOracle boundary_oracle = [](const std::vector<Bytes>& dgs) {
-        if (auto err = check_batch_parity(dgs)) return err;
+      const StreamOracle boundary_oracle =
+          [](const std::vector<Bytes>& dgs) -> std::optional<std::string> {
+        if (auto err = check_scan_equivalence(dgs))
+          return "scan equivalence: " + *err;
         if (dgs.size() <= 512)
           if (auto err = check_simd_parity(dgs)) return err;
-        return std::optional<std::string>{};
+        return std::nullopt;
       };
       ++stats.stream_checks;
       if (auto err = boundary_oracle(shaped))

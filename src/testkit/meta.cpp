@@ -65,7 +65,7 @@ TransformResult inapplicable(const FilterConfig& cfg) {
 }
 
 Trace empty_like(const Trace& t, std::uint32_t linktype) {
-  Trace out(t.uses_arena());
+  Trace out;
   out.set_linktype(linktype);
   out.ingest() = t.ingest();
   out.reserve(t.size());
@@ -583,7 +583,7 @@ std::optional<std::string> check_filter_idempotence(const Trace& trace,
                        "produced different dispositions");
 
   const auto kept = rtcc::filter::kept_frame_indices(table, rep1);
-  Trace sub(trace.uses_arena());
+  Trace sub;
   sub.set_linktype(trace.linktype());
   sub.reserve(kept.size());
   for (const std::size_t i : kept) {

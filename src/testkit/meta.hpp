@@ -26,7 +26,7 @@
 //   * emulator scale monotonicity — scaling media rates moves volumes
 //     up without moving per-type compliance verdicts,
 //   * merge order insensitivity — merge() over per-call analyses is
-//     order-independent (the property run_experiment's fixed merge
+//     order-independent (the property run_corpus's fixed merge
 //     order relies on),
 //   * streaming/batch equivalence — the one-pass streaming engine
 //     (RTCC_STREAM) reproduces the batch compliance signature on every

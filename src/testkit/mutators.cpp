@@ -433,8 +433,8 @@ Bytes mutate(MutatorFamily family, BytesView seed, BytesView other,
 }
 
 const std::vector<std::size_t>& batch_boundary_counts() {
-  // 0/1 exercise the empty batch and the fused per-datagram path;
-  // 255/256/257 straddle the default vector size (partial final
+  // 0/1 exercise the empty batch and a one-datagram vector;
+  // 255/256/257 straddle the vector size (partial final
   // vector, exact fit, one-packet spill); 4095 is one short of the
   // kMaxAnchorBlocks * 64 staging ceiling on a single payload and, as
   // a datagram count, 16 vectors with a one-short final vector.

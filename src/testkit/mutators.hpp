@@ -12,10 +12,12 @@
 // driver can pipe any seed through any family.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "net/packet_batch.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -48,13 +50,20 @@ enum class MutatorFamily : std::uint8_t {
                                        rtcc::util::Rng& rng);
 
 /// Datagram counts straddling the vector-pipeline batch edges (empty
-/// stream, single datagram, default-batch-size ± 1 and the staging
+/// stream, single datagram, kBatchSize ± 1 and the staging
 /// buffer's offset ceiling). The batch-boundary mutator cycles these.
 [[nodiscard]] const std::vector<std::size_t>& batch_boundary_counts();
 
+/// Stream lengths at the pipeline's chunk edges — one short of, exactly
+/// and one past a vector, and two full vectors plus a partial third —
+/// for the scan, SIMD and node-counter tests.
+inline constexpr std::array<std::size_t, 4> kChunkEdgeLengths = {
+    rtcc::net::kBatchSize - 1, rtcc::net::kBatchSize,
+    rtcc::net::kBatchSize + 1, 2 * rtcc::net::kBatchSize + 3};
+
 /// Stream-level mutator: tiles / truncates `seed` to exactly `count`
 /// datagrams (rotating the start so repeats differ across calls), so
-/// the batch and SIMD parity oracles hit full-, partial- and zero-sized
+/// the scan and SIMD parity oracles hit full-, partial- and zero-sized
 /// final vectors. An empty seed yields an empty stream for any count.
 [[nodiscard]] std::vector<rtcc::util::Bytes> mutate_batch_boundary(
     const std::vector<rtcc::util::Bytes>& seed, std::size_t count,

@@ -10,7 +10,6 @@
 #include "dpi/simd_dispatch.hpp"
 #include "net/arena.hpp"
 #include "net/headers.hpp"
-#include "net/packet_batch.hpp"
 #include "net/pcap.hpp"
 #include "proto/demux.hpp"
 #include "proto/quic/quic.hpp"
@@ -411,42 +410,38 @@ std::optional<std::string> check_arena_parity(
     const std::vector<Bytes>& payloads) {
   const net::FrameSpec spec = oracle_frame_spec();
 
-  net::Trace arena_trace(/*use_arena=*/true);
-  net::Trace legacy_trace(/*use_arena=*/false);
+  // Producer 1 vs 2: frames written in place through the arena's
+  // alloc() vs built into a temporary vector and copied in by
+  // append() — doubles as the build_frame / build_frame_arena
+  // byte-parity check.
+  net::Trace alloc_trace;
+  net::Trace append_trace;
   std::size_t kept = 0;
   for (const auto& payload : payloads) {
     if (payload.size() > kMaxFramePayload) continue;
     const double ts = ts_for(kept++);
-    // The arena trace is built through the in-place arena writer, the
-    // legacy one through the temporary-vector builder — this doubles as
-    // the build_frame / build_frame_arena byte-parity check.
-    arena_trace.add_frame(
-        net::build_frame_arena(arena_trace.arena(), ts, spec, payload));
-    legacy_trace.add_frame(ts, net::build_frame(spec, payload));
+    alloc_trace.add_frame(
+        net::build_frame_arena(alloc_trace.arena(), ts, spec, payload));
+    append_trace.add_frame(ts, net::build_frame(spec, payload));
   }
-  if (auto err = compare_traces(arena_trace, legacy_trace, "arena", "legacy"))
+  if (auto err = compare_traces(alloc_trace, append_trace, "alloc", "append"))
     return "arena parity: " + *err;
 
-  const Bytes enc_arena = net::encode_pcap(arena_trace);
-  const Bytes enc_legacy = net::encode_pcap(legacy_trace);
-  if (enc_arena != enc_legacy)
-    return "arena parity: encode_pcap bytes differ between modes";
+  const Bytes enc_alloc = net::encode_pcap(alloc_trace);
+  if (enc_alloc != net::encode_pcap(append_trace))
+    return "arena parity: encode_pcap bytes differ between alloc and append";
 
-  std::optional<net::Trace> dec_arena;
-  std::optional<net::Trace> dec_legacy;
-  {
-    net::ArenaModeGuard guard(true);
-    dec_arena = net::decode_pcap(enc_arena);
-  }
-  {
-    net::ArenaModeGuard guard(false);
-    dec_legacy = net::decode_pcap(enc_arena);
-  }
-  if (!dec_arena || !dec_legacy)
+  // Producer 2 vs 3: pcap decode copying records in (append) vs
+  // adopting the encoded buffer and viewing it (zero-copy).
+  const auto dec_append = net::decode_pcap(enc_alloc);
+  const auto dec_adopt = net::decode_pcap_zero_copy(enc_alloc);
+  if (!dec_append || !dec_adopt)
     return "arena parity: decode_pcap failed on encoder output";
-  if (auto err = compare_traces(*dec_arena, *dec_legacy, "arena-decode",
-                                "legacy-decode"))
+  if (auto err = compare_traces(*dec_append, *dec_adopt, "append-decode",
+                                "adopt-decode"))
     return "arena parity: " + *err;
+  if (net::encode_pcap(*dec_adopt) != enc_alloc)
+    return "arena parity: encode_pcap bytes differ after zero-copy decode";
   return std::nullopt;
 }
 
@@ -642,31 +637,6 @@ std::optional<std::string> run_buffer_oracles(BytesView data) {
   if (auto err = parser_sweep(data)) return "parser_sweep: " + *err;
   if (auto err = check_anchor_parity(data)) return err;
   if (auto err = check_frame_decode(data)) return err;
-  return std::nullopt;
-}
-
-std::optional<std::string> check_batch_parity(
-    const std::vector<Bytes>& datagrams, std::size_t extra_size) {
-  const auto stream = as_stream(datagrams, /*alternate_dir=*/true);
-  const rtcc::dpi::ScanningDpi dpi;
-  std::vector<std::size_t> sizes = {1, rtcc::net::kDefaultBatchSize};
-  if (extra_size != 0) sizes.push_back(extra_size);
-  std::optional<std::vector<rtcc::dpi::DatagramAnalysis>> base;
-  std::size_t base_size = 0;
-  for (const std::size_t size : sizes) {
-    const rtcc::net::BatchModeGuard guard(size);
-    auto got = dpi.analyze_stream(stream);
-    if (!base) {
-      base = std::move(got);
-      base_size = size;
-      continue;
-    }
-    const std::string a_name = "batch=" + std::to_string(base_size);
-    const std::string b_name = "batch=" + std::to_string(size);
-    if (auto err = compare_analyses(*base, got, a_name.c_str(),
-                                    b_name.c_str()))
-      return "batch parity: " + *err;
-  }
   return std::nullopt;
 }
 
@@ -934,7 +904,6 @@ std::optional<std::string> run_stream_oracles(
     const std::vector<Bytes>& datagrams) {
   if (auto err = check_scan_equivalence(datagrams))
     return "scan equivalence: " + *err;
-  if (auto err = check_batch_parity(datagrams)) return err;
   if (auto err = check_simd_parity(datagrams)) return err;
   if (auto err = check_arena_parity(datagrams)) return err;
   if (auto err = check_pcap_roundtrip(datagrams)) return err;

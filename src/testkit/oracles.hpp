@@ -11,8 +11,9 @@
 //                              reference re-implementation.
 //   3. check_scan_equivalence— anchored ScanningDpi vs the naive
 //                              all-offsets oracle, byte-identical.
-//   4. check_arena_parity    — arena-backed vs legacy traces build and
-//                              serialize identically; pcap decode agrees.
+//   4. check_arena_parity    — the arena's three producers (alloc,
+//                              append, adopt) build, decode and
+//                              serialize identically.
 //   5. check_pcap_roundtrip  — encode→decode→encode is a fixed point.
 //   6. check_strict_subset   — on clean seed streams, every datagram the
 //                              strict DPI accepts is classified standard
@@ -66,14 +67,6 @@ namespace rtcc::testkit {
 /// over the frame and re-checks the identity after finish().
 [[nodiscard]] std::optional<std::string> check_frame_decode(
     rtcc::util::BytesView frame);
-
-/// Batched (vector) extraction vs the per-datagram path: analyses must
-/// be byte-identical for any stream, at any batch size. Runs the full
-/// scanner once per distinct size in {1, default} plus `extra_size`
-/// when non-zero (the driver passes boundary-straddling sizes).
-[[nodiscard]] std::optional<std::string> check_batch_parity(
-    const std::vector<rtcc::util::Bytes>& datagrams,
-    std::size_t extra_size = 0);
 
 /// Every *supported* SIMD level against the scalar path: identical
 /// compliance signatures datagram-for-datagram. Unsupported levels are

@@ -1,6 +1,6 @@
 // Hardened RTCC_* environment-knob parsing.
 //
-// Every runtime knob in the tree (RTCC_BATCH, RTCC_SHARDS,
+// Every runtime knob in the tree (RTCC_SHARDS, RTCC_REPEATS,
 // RTCC_STREAM_*, ...) used to go through bare atoi/atol/strtoul, which
 // silently accept garbage: "abc" parses as 0, "-3" flows into unsigned
 // widths, "99999999999999999999" saturates without a word, and "12abc"

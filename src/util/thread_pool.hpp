@@ -1,10 +1,9 @@
 // Persistent work-stealing thread pool.
 //
-// Replaces the wave dispatch previously used by report::run_experiment,
-// where one slow call (relay-mode Zoom with filler bursts) idled the
-// whole wave at every barrier. Here workers pull indices from a shared
-// atomic cursor, so a finished worker immediately steals the next
-// undone index instead of waiting for its wave to drain.
+// Workers pull indices from a shared atomic cursor, so a finished
+// worker immediately steals the next undone index: one slow call
+// (relay-mode Zoom with filler bursts) never idles the others, as it
+// would under barrier-per-wave dispatch.
 //
 // Determinism: parallel_for only decides *when* fn(i) runs, never what
 // it computes; callers write results[i] and merge in a fixed order, so

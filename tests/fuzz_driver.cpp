@@ -20,7 +20,6 @@
 #include <string>
 
 #include "dpi/simd_dispatch.hpp"
-#include "net/packet_batch.hpp"
 #include "report/shard.hpp"
 #include "stream/stream_mode.hpp"
 #include "testkit/driver.hpp"
@@ -150,13 +149,11 @@ int run_fuzz(const rtcc::testkit::DriverOptions& opts) {
 
 int main(int argc, char** argv) {
   // Golden snapshots include the per-node pipeline counters, whose
-  // vector counts depend on the batch size and whose prefilter lane
-  // popcount is zero at the scalar level (the prefilter node is a
-  // pass-through without a kernel). Pin both knobs to their defaults so
-  // the snapshots stay byte-identical under RTCC_BATCH / RTCC_SIMD
+  // prefilter lane popcount is zero at the scalar level (the prefilter
+  // node is a pass-through without a kernel). Pin the SIMD level to its
+  // default so the snapshots stay byte-identical under RTCC_SIMD
   // overrides (the parity oracles — not the goldens — cover knob
   // equivalence; kernel levels stage identical masks by design).
-  const rtcc::net::BatchModeGuard batch_guard(rtcc::net::kDefaultBatchSize);
   const rtcc::dpi::SimdModeGuard simd_guard(rtcc::dpi::detected_simd_level());
   // Shards pinned to 1 for the same reason: the sharded path adds the
   // knob-dependent "shards" diagnostic to report JSON, and goldens must

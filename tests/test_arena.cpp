@@ -1,6 +1,9 @@
 // FrameArena storage semantics plus the pcap edge cases the zero-copy
-// decoder must share bit-for-bit with the legacy owned-buffer path:
-// swapped-byte-order files, truncation, and snaplen-clipped records.
+// decoder (adopt: frames view the file buffer) must share bit-for-bit
+// with the copying decoder (append: decode_pcap copies each record onto
+// the arena, as the retired owned-buffer storage did — the "legacy"
+// cases below): swapped-byte-order files, truncation, and
+// snaplen-clipped records.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -95,17 +98,6 @@ TEST(FrameArena, InvalidViewsResolveEmpty) {
   EXPECT_TRUE(FrameArena{}.view(0, 1).empty());          // empty arena
 }
 
-TEST(ArenaMode, GuardRestoresPreviousMode) {
-  const bool before = arena_enabled();
-  {
-    ArenaModeGuard guard(!before);
-    EXPECT_EQ(arena_enabled(), !before);
-    Trace t;
-    EXPECT_EQ(t.uses_arena(), !before);
-  }
-  EXPECT_EQ(arena_enabled(), before);
-}
-
 // ---- pcap edge cases ------------------------------------------------------
 
 void put32(Bytes& out, std::uint32_t v, bool be) {
@@ -154,13 +146,20 @@ Bytes make_pcap(bool be, const std::vector<Bytes>& payloads,
   return out;
 }
 
-class PcapEdgeCases : public testing::TestWithParam<bool> {};
+/// true = zero-copy decode ("arena"), false = copying decode ("legacy").
+class PcapEdgeCases : public testing::TestWithParam<bool> {
+ protected:
+  /// `file` must outlive the returned trace on the zero-copy path.
+  static std::optional<Trace> decode(const Bytes& file) {
+    return GetParam() ? decode_pcap_zero_copy(BytesView{file})
+                      : decode_pcap(BytesView{file});
+  }
+};
 
 TEST_P(PcapEdgeCases, BigEndianMagicDecodes) {
-  ArenaModeGuard guard(GetParam());
   const std::vector<Bytes> payloads = {pattern(60, 1), pattern(90, 2)};
   const Bytes file = make_pcap(/*be=*/true, payloads);
-  auto trace = decode_pcap(BytesView{file});
+  auto trace = decode(file);
   ASSERT_TRUE(trace);
   ASSERT_EQ(trace->size(), 2u);
   EXPECT_NEAR(trace->frames()[0].ts, 1.25, 1e-9);
@@ -171,12 +170,11 @@ TEST_P(PcapEdgeCases, BigEndianMagicDecodes) {
 }
 
 TEST_P(PcapEdgeCases, TruncatedFinalRecordFailSoft) {
-  ArenaModeGuard guard(GetParam());
   // Cut into the last record's *bytes*: the intact first frame is kept
   // and the torn tail is counted, not fatal.
   Bytes file = make_pcap(false, {pattern(60, 1), pattern(60, 2)});
   file.resize(file.size() - 10);
-  auto trace = decode_pcap(BytesView{file});
+  auto trace = decode(file);
   ASSERT_TRUE(trace);
   EXPECT_EQ(trace->size(), 1u);
   EXPECT_EQ(trace->ingest().frames_seen, 1u);
@@ -185,7 +183,7 @@ TEST_P(PcapEdgeCases, TruncatedFinalRecordFailSoft) {
   // Cut into the record *header*: zero frames, still not fatal.
   Bytes header_cut = make_pcap(false, {pattern(60, 1)});
   header_cut.resize(24 + 8);
-  auto cut = decode_pcap(BytesView{header_cut});
+  auto cut = decode(header_cut);
   ASSERT_TRUE(cut);
   EXPECT_EQ(cut->size(), 0u);
   EXPECT_EQ(cut->ingest().frames_seen, 0u);
@@ -193,10 +191,9 @@ TEST_P(PcapEdgeCases, TruncatedFinalRecordFailSoft) {
 }
 
 TEST_P(PcapEdgeCases, SnaplenClippedRecordKeepsInclBytes) {
-  ArenaModeGuard guard(GetParam());
   // incl_len = 48, orig_len = 48 + 500: the capture clipped the packet.
   const Bytes file = make_pcap(false, {pattern(48, 3)}, /*orig_extra=*/500);
-  auto trace = decode_pcap(BytesView{file});
+  auto trace = decode(file);
   ASSERT_TRUE(trace);
   ASSERT_EQ(trace->size(), 1u);
   EXPECT_EQ(trace->frame_bytes(0).size(), 48u);
@@ -232,40 +229,39 @@ TEST(PcapZeroCopy, OwnedBufferDecodeSurvivesCallerRelease) {
 }
 
 TEST(PcapEquivalence, ArenaAndLegacyRoundTripsAreByteIdentical) {
+  // Zero-copy and copying decode both re-encode to the input file.
   const Bytes file =
       make_pcap(false, {pattern(60, 1), pattern(400, 2), pattern(90, 3)});
-
-  Bytes reencoded[2];
-  for (const bool arena : {false, true}) {
-    ArenaModeGuard guard(arena);
-    auto trace = decode_pcap(BytesView{file});
-    ASSERT_TRUE(trace);
-    EXPECT_EQ(trace->uses_arena(), arena);
-    reencoded[arena ? 1 : 0] = encode_pcap(*trace);
-  }
-  EXPECT_EQ(reencoded[0], reencoded[1]);
-  EXPECT_EQ(reencoded[0], file);
-
-  // Zero-copy decode re-encodes identically too.
+  auto copied = decode_pcap(BytesView{file});
+  ASSERT_TRUE(copied);
+  EXPECT_EQ(encode_pcap(*copied), file);
   auto zc = decode_pcap_zero_copy(BytesView{file});
   ASSERT_TRUE(zc);
   EXPECT_EQ(encode_pcap(*zc), file);
 }
 
 TEST(PcapFile, MmapAndLegacyReadsAgree) {
+  // read_pcap (mmap'ed, zero-copy) vs a copying decode of the file's
+  // bytes read back by hand.
   Trace trace;
   for (int i = 0; i < 20; ++i)
     trace.add_frame(0.25 * i, BytesView{pattern(60 + i, i)});
   const std::string path = testing::TempDir() + "rtcc_arena_file.pcap";
   ASSERT_TRUE(write_pcap(path, trace));
 
-  std::optional<Trace> loaded[2];
-  for (const bool arena : {false, true}) {
-    ArenaModeGuard guard(arena);
-    loaded[arena ? 1 : 0] = read_pcap(path);
-    ASSERT_TRUE(loaded[arena ? 1 : 0]);
+  Bytes file;
+  if (std::FILE* fp = std::fopen(path.c_str(), "rb")) {
+    std::uint8_t buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof buf, fp)) > 0)
+      file.insert(file.end(), buf, buf + n);
+    std::fclose(fp);
   }
+  std::optional<Trace> loaded[2] = {decode_pcap(BytesView{file}),
+                                    read_pcap(path)};
   std::remove(path.c_str());
+  ASSERT_TRUE(loaded[0]);
+  ASSERT_TRUE(loaded[1]);
 
   ASSERT_EQ(loaded[0]->size(), loaded[1]->size());
   ASSERT_EQ(loaded[0]->size(), trace.size());

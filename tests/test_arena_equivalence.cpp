@@ -1,16 +1,17 @@
-// The arena refactor's equivalence oracle: with RTCC_ARENA flipped off,
-// every layer must produce bit-identical output to the arena path —
-// same emulated wire bytes, same truth labels, same filter
-// dispositions, same compliance metrics — across the full 6-app x
-// 3-network matrix. Any divergence means the in-place frame builder or
-// the view-based storage changed observable behaviour.
+// Arena-producer equivalence across the full 6-app x 3-network matrix:
+// the emulator writes frames in place (alloc); the "legacy" reference
+// copies every frame onto a fresh arena (append, the copying producer
+// that replaced owned per-frame buffers), and a third trace views the
+// call's pcap bytes zero-copy (adopt). Every layer must agree — same
+// wire bytes, same filter dispositions, same compliance metrics. Any
+// divergence means a producer or the view-based storage changed
+// observable behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <tuple>
 
 #include "emul/app_model.hpp"
-#include "net/arena.hpp"
 #include "report/corpus.hpp"
 #include "report/metrics.hpp"
 
@@ -82,37 +83,41 @@ TEST_P(ArenaEquivalence, WireBytesFilterAndMetricsMatchLegacy) {
   const auto [app, network] = GetParam();
   const auto cfg = sweep_config(app, network);
 
-  net::ArenaModeGuard arena_on(true);
-  const auto arena_call = emul::emulate_call(cfg);
-  ASSERT_TRUE(arena_call.trace.uses_arena());
-
-  net::ArenaModeGuard legacy(false);
-  const auto legacy_call = emul::emulate_call(cfg);
-  ASSERT_FALSE(legacy_call.trace.uses_arena());
+  const auto call = emul::emulate_call(cfg);
+  const net::Trace& arena = call.trace;
+  net::Trace legacy;
+  legacy.reserve(arena.size());
+  for (const auto& f : arena.frames())
+    legacy.add_frame(f.ts, arena.bytes(f)).orig_len = f.orig_len;
+  const Bytes pcap = net::encode_pcap(arena);
+  const auto adopted = net::decode_pcap_zero_copy(pcap);
+  ASSERT_TRUE(adopted);
 
   // Layer 1: identical wire bytes (the whole pcap, headers included).
-  EXPECT_EQ(net::encode_pcap(arena_call.trace),
-            net::encode_pcap(legacy_call.trace));
-  EXPECT_EQ(arena_call.trace.total_bytes(), legacy_call.trace.total_bytes());
-  EXPECT_EQ(arena_call.truth, legacy_call.truth);
+  EXPECT_EQ(net::encode_pcap(legacy), pcap);
+  EXPECT_EQ(net::encode_pcap(*adopted), pcap);
+  EXPECT_EQ(legacy.total_bytes(), arena.total_bytes());
+  EXPECT_EQ(adopted->total_bytes(), arena.total_bytes());
 
   // Layer 2: identical filter dispositions, stream by stream.
-  const auto arena_table = net::group_streams(arena_call.trace);
-  const auto legacy_table = net::group_streams(legacy_call.trace);
-  const auto arena_report =
-      filter::run_pipeline(arena_call.trace, arena_table,
-                           emul::filter_config_for(arena_call));
-  const auto legacy_report =
-      filter::run_pipeline(legacy_call.trace, legacy_table,
-                           emul::filter_config_for(legacy_call));
-  EXPECT_EQ(arena_report.dispositions, legacy_report.dispositions);
-  EXPECT_EQ(arena_report.rtc_udp_streams, legacy_report.rtc_udp_streams);
-  expect_identical_stats(arena_report.rtc_udp, legacy_report.rtc_udp);
-  expect_identical_stats(arena_report.rtc_tcp, legacy_report.rtc_tcp);
+  const auto fcfg = emul::filter_config_for(call);
+  const auto arena_table = net::group_streams(arena);
+  const auto arena_report = filter::run_pipeline(arena, arena_table, fcfg);
+  const net::Trace* const others[] = {&legacy, &*adopted};
+  for (const net::Trace* other : others) {
+    const auto table = net::group_streams(*other);
+    const auto rep = filter::run_pipeline(*other, table, fcfg);
+    EXPECT_EQ(arena_report.dispositions, rep.dispositions);
+    EXPECT_EQ(arena_report.rtc_udp_streams, rep.rtc_udp_streams);
+    expect_identical_stats(arena_report.rtc_udp, rep.rtc_udp);
+    expect_identical_stats(arena_report.rtc_tcp, rep.rtc_tcp);
+  }
 
   // Layer 3: identical DPI + compliance metrics.
-  expect_identical_analysis(report::analyze_call(arena_call),
-                            report::analyze_call(legacy_call));
+  const auto arena_analysis = report::analyze_trace(arena, fcfg);
+  expect_identical_analysis(arena_analysis, report::analyze_trace(legacy, fcfg));
+  expect_identical_analysis(arena_analysis,
+                            report::analyze_trace(*adopted, fcfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -182,7 +187,7 @@ TEST(Corpus, SerialAndPooledAgree) {
   pooled.experiment = tiny_matrix();
   auto serial = pooled;
   serial.experiment.exec = report::ExecMode::kSerial;
-  serial.experiment.analysis.parallel_streams = false;
+  serial.experiment.analysis.shards = 1;
 
   const auto a = report::run_corpus(pooled);
   const auto b = report::run_corpus(serial);

@@ -1,6 +1,6 @@
-// Vector pipeline: the RTCC_BATCH knob surface, batch-vs-per-datagram
-// extraction parity at the boundary datagram counts, and the per-node
-// counter accounting the report layer surfaces as "nodes".
+// Vector pipeline: batched extraction vs the naive per-datagram scan at
+// the boundary datagram counts, and the per-node counter accounting the
+// report layer surfaces as "nodes".
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,30 +17,11 @@ namespace {
 using rtcc::util::Bytes;
 using rtcc::util::BytesView;
 
-TEST(BatchKnob, SetClampsAndGuardRestores) {
-  const std::size_t prev = rtcc::net::batch_size();
-  EXPECT_EQ(rtcc::net::set_batch_size(64), 64u);
-  EXPECT_EQ(rtcc::net::batch_size(), 64u);
-  // Zero is not a vector length; the knob clamps to the fused path.
-  EXPECT_EQ(rtcc::net::set_batch_size(0), 1u);
-  {
-    const rtcc::net::BatchModeGuard guard(7);
-    EXPECT_EQ(rtcc::net::batch_size(), 7u);
-    {
-      const rtcc::net::BatchModeGuard nested(rtcc::net::kDefaultBatchSize);
-      EXPECT_EQ(rtcc::net::batch_size(), rtcc::net::kDefaultBatchSize);
-    }
-    EXPECT_EQ(rtcc::net::batch_size(), 7u);
-  }
-  EXPECT_EQ(rtcc::net::batch_size(), 1u);
-  rtcc::net::set_batch_size(prev);
-}
-
 TEST(BatchPipeline, BoundaryCountsMatchPerDatagramPath) {
   // Seed a mixed stream, tile it to every boundary count (empty, one,
-  // default ± 1, exact fit, 16 vectors minus one) and require the
-  // batched node graph and the fused per-datagram path to produce
-  // byte-identical analyses.
+  // kBatchSize ± 1, exact fit, 16 vectors minus one) and require the
+  // batched node graph and the naive per-datagram all-offsets scan to
+  // produce byte-identical analyses.
   rtcc::util::Rng rng(0xb0b);
   const auto base = rtcc::testkit::make_seed_stream(
       rtcc::testkit::all_seed_families().front(), rng, 6);
@@ -50,81 +31,80 @@ TEST(BatchPipeline, BoundaryCountsMatchPerDatagramPath) {
     const auto shaped =
         rtcc::testkit::mutate_batch_boundary(base.datagrams, count, rng);
     EXPECT_EQ(shaped.size(), count == 0 ? 0u : count);
-    const auto err = rtcc::testkit::check_batch_parity(shaped);
+    const auto err = rtcc::testkit::check_scan_equivalence(shaped);
     EXPECT_FALSE(err.has_value()) << "count " << count << ": " << *err;
   }
 }
 
-TEST(BatchPipeline, OddBatchSizesMatchDefault) {
-  // Sizes that leave partial final vectors (and a size larger than the
-  // stream) against the default, via the oracle's extra-size hook.
-  rtcc::util::Rng rng(0x0dd);
-  auto stream = rtcc::testkit::make_seed_stream(
-      rtcc::testkit::all_seed_families().back(), rng, 6);
-  auto shaped =
-      rtcc::testkit::mutate_batch_boundary(stream.datagrams, 100, rng);
-  for (const std::size_t size : {3u, 17u, 101u, 1024u}) {
-    const auto err = rtcc::testkit::check_batch_parity(shaped, size);
-    EXPECT_FALSE(err.has_value()) << "batch=" << size << ": " << *err;
-  }
-}
-
 TEST(BatchPipeline, NodeCountersAccountForEveryPacket) {
-  rtcc::util::Rng rng(0xace);
-  std::vector<Bytes> payloads;
-  std::vector<rtcc::dpi::StreamDatagram> stream;
-  // 300 datagrams = one full vector + a partial one at the default
-  // size; two empty payloads must be parked by demux, not scanned.
-  for (std::size_t i = 0; i < 300; ++i) {
-    payloads.push_back(rng.bytes(i == 7 || i == 280 ? 0 : 40 + rng.below(200)));
-    stream.push_back(
-        {BytesView{payloads.back()}, static_cast<double>(i) * 0.01,
-         static_cast<int>(i & 1)});
-  }
-
-  rtcc::net::PacketBatch batch;
-  for (const auto& d : stream) batch.push(d.payload, d.ts, d.dir);
-
+  // 300 datagrams = one full vector + a partial one, plus every chunk
+  // edge length; payloads 7 and 280 are empty and must be parked by
+  // demux, not scanned.
+  std::vector<std::size_t> lengths = {300};
+  lengths.insert(lengths.end(), rtcc::testkit::kChunkEdgeLengths.begin(),
+                 rtcc::testkit::kChunkEdgeLengths.end());
   const rtcc::dpi::ScanningDpi dpi;
-  {
-    const rtcc::net::BatchModeGuard guard(rtcc::net::kDefaultBatchSize);
+  for (const std::size_t n : lengths) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    rtcc::util::Rng rng(0xace);
+    std::vector<Bytes> payloads;
+    rtcc::net::PacketBatch batch;
+    std::size_t empties = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool empty = i == 7 || i == 280;
+      empties += empty ? 1 : 0;
+      payloads.push_back(rng.bytes(empty ? 0 : 40 + rng.below(200)));
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      batch.push(BytesView{payloads[i]}, static_cast<double>(i) * 0.01,
+                 static_cast<int>(i & 1));
+
     rtcc::dpi::PipelineCounters counters;
     const auto out = dpi.analyze_batch(batch, &counters);
-    ASSERT_EQ(out.size(), 300u);
+    ASSERT_EQ(out.size(), n);
 
-    EXPECT_EQ(counters.demux.vectors, 2u);  // ceil(300 / 256)
-    EXPECT_EQ(counters.demux.packets, 300u);
-    EXPECT_EQ(counters.demux.suspended, 2u);  // the empty payloads
-    EXPECT_EQ(counters.prefilter.vectors, 2u);
-    EXPECT_EQ(counters.prefilter.packets, 298u);
-    EXPECT_EQ(counters.scan.vectors, 2u);
-    EXPECT_EQ(counters.scan.packets, 298u);
+    const std::uint64_t vectors =
+        (n + rtcc::net::kBatchSize - 1) / rtcc::net::kBatchSize;
+    EXPECT_EQ(counters.demux.vectors, vectors);
+    EXPECT_EQ(counters.demux.packets, n);
+    EXPECT_EQ(counters.demux.suspended, empties);
+    EXPECT_EQ(counters.prefilter.vectors, vectors);
+    EXPECT_EQ(counters.prefilter.packets, n - empties);
+    EXPECT_EQ(counters.scan.vectors, vectors);
+    EXPECT_EQ(counters.scan.packets, n - empties);
     // Every candidate the scan parked is accounted across the batch.
     std::uint64_t candidates = 0;
     for (const auto& a : out) candidates += a.candidates;
     EXPECT_EQ(counters.scan.suspended, candidates);
-  }
-
-  // The fused per-datagram path has no node split: it books nothing,
-  // so merged reports distinguish "ran fused" from "ran the graph".
-  {
-    const rtcc::net::BatchModeGuard guard(1);
-    rtcc::dpi::PipelineCounters counters;
-    const auto out = dpi.analyze_batch(batch, &counters);
-    ASSERT_EQ(out.size(), 300u);
-    EXPECT_FALSE(counters.demux.any());
-    EXPECT_FALSE(counters.prefilter.any());
-    EXPECT_FALSE(counters.scan.any());
   }
 }
 
 TEST(BatchPipeline, CountersAreOptional) {
   // A null counters pointer must not change the analysis.
   rtcc::util::Rng rng(0xfee1);
-  auto stream = rtcc::testkit::make_seed_stream(
+  const auto stream = rtcc::testkit::make_seed_stream(
       rtcc::testkit::all_seed_families().front(), rng, 4);
-  const auto err = rtcc::testkit::check_batch_parity(stream.datagrams);
-  EXPECT_FALSE(err.has_value()) << *err;
+  rtcc::net::PacketBatch batch;
+  for (std::size_t i = 0; i < stream.datagrams.size(); ++i)
+    batch.push(BytesView{stream.datagrams[i]}, static_cast<double>(i),
+               static_cast<int>(i & 1));
+  const rtcc::dpi::ScanningDpi dpi;
+  rtcc::dpi::PipelineCounters counters;
+  const auto counted = dpi.analyze_batch(batch, &counters);
+  const auto uncounted = dpi.analyze_batch(batch);
+  EXPECT_TRUE(counters.scan.any());
+  ASSERT_EQ(counted.size(), uncounted.size());
+  for (std::size_t i = 0; i < counted.size(); ++i) {
+    SCOPED_TRACE("datagram " + std::to_string(i));
+    EXPECT_EQ(counted[i].klass, uncounted[i].klass);
+    EXPECT_EQ(counted[i].candidates, uncounted[i].candidates);
+    ASSERT_EQ(counted[i].messages.size(), uncounted[i].messages.size());
+    for (std::size_t m = 0; m < counted[i].messages.size(); ++m) {
+      EXPECT_EQ(counted[i].messages[m].offset, uncounted[i].messages[m].offset);
+      EXPECT_EQ(counted[i].messages[m].length, uncounted[i].messages[m].length);
+      EXPECT_EQ(counted[i].messages[m].raw, uncounted[i].messages[m].raw);
+    }
+  }
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 //  * the anchor prefilter (dpi/anchor_scan) produces byte-identical
 //    DPI output vs the naive all-offsets oracle, across the whole
 //    6-app x 3-network corpus;
-//  * run_experiment produces bit-identical aggregates under serial,
-//    wave, and pooled dispatch (and with per-stream parallelism on or
-//    off) — the pool only reorders *when* work runs, never its result;
+//  * run_experiment produces bit-identical aggregates under serial and
+//    pooled dispatch (and with or without shard workers) — the pool
+//    only reorders *when* work runs, never its result;
 //  * the work-stealing pool itself runs every index exactly once,
 //    supports nested parallel_for, and propagates task exceptions.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 
 #include "dpi/simd_dispatch.hpp"
 #include "emul/app_model.hpp"
-#include "net/packet_batch.hpp"
 #include "net/stream_table.hpp"
 #include "report/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -151,11 +150,11 @@ TEST(AnchorPrefilter, SweepMatchesOracleAcrossCorpus) {
 }
 
 TEST(VectorPipeline, BatchAndSimdMatchFusedScalarAcrossCorpus) {
-  // Full app × network matrix at the two knob extremes: the batched
-  // node graph under the detected kernel level vs the fused
-  // per-datagram path under the scalar level. Analyses must be
-  // identical on every UDP stream, background noise included — this is
-  // the corpus-wide restatement of the per-stream parity oracles.
+  // Full app × network matrix at the two SIMD extremes: the node graph
+  // under the detected kernel level vs under the scalar level, where
+  // the scan node runs the fused per-offset anchor walk. Analyses must
+  // be identical on every UDP stream, background noise included — this
+  // is the corpus-wide restatement of the per-stream parity oracles.
   const dpi::ScanningDpi engine;
   for (const auto app : emul::all_apps()) {
     for (const auto network : emul::all_networks()) {
@@ -180,13 +179,11 @@ TEST(VectorPipeline, BatchAndSimdMatchFusedScalarAcrossCorpus) {
         SCOPED_TRACE(to_string(app) + "/" + to_string(network));
         std::vector<dpi::DatagramAnalysis> fused_scalar;
         {
-          const net::BatchModeGuard batch(1);
           const dpi::SimdModeGuard simd(dpi::SimdLevel::kScalar);
           fused_scalar = engine.analyze_stream(dgs);
         }
         std::vector<dpi::DatagramAnalysis> batched;
         {
-          const net::BatchModeGuard batch(net::kDefaultBatchSize);
           const dpi::SimdModeGuard simd(dpi::detected_simd_level());
           batched = engine.analyze_stream(dgs);
         }
@@ -267,33 +264,32 @@ report::ExperimentConfig small_experiment() {
   return cfg;
 }
 
-TEST(ExperimentDeterminism, SerialWavePooledIdentical) {
+TEST(ExperimentDeterminism, SerialPooledIdentical) {
   // Force a real multi-thread pool even on single-core CI: shared() is
   // created on first use, which in this process happens below.
   setenv("RTCC_THREADS", "4", 1);
 
   auto cfg = small_experiment();
   cfg.exec = report::ExecMode::kSerial;
-  cfg.analysis.parallel_streams = false;
+  cfg.analysis.shards = 1;
   const auto serial = report::run_experiment(cfg);
 
-  cfg.exec = report::ExecMode::kWave;
-  cfg.analysis.parallel_streams = false;
-  const auto wave = report::run_experiment(cfg);
-
+  // Pooled with unsharded per-call analysis, then pooled through the
+  // sharded corpus producer.
   cfg.exec = report::ExecMode::kPooled;
-  cfg.analysis.parallel_streams = true;
   const auto pooled = report::run_experiment(cfg);
+  cfg.analysis.shards = 3;
+  const auto sharded = report::run_experiment(cfg);
 
-  expect_identical_experiments(serial, wave);
   expect_identical_experiments(serial, pooled);
+  expect_identical_experiments(serial, sharded);
   unsetenv("RTCC_THREADS");
 }
 
 TEST(ExperimentDeterminism, AnchorPrefilterOnOffIdentical) {
   auto cfg = small_experiment();
   cfg.exec = report::ExecMode::kSerial;
-  cfg.analysis.parallel_streams = false;
+  cfg.analysis.shards = 1;
   cfg.analysis.scan.use_anchor_prefilter = true;
   const auto anchored = report::run_experiment(cfg);
   cfg.analysis.scan.use_anchor_prefilter = false;
@@ -301,30 +297,28 @@ TEST(ExperimentDeterminism, AnchorPrefilterOnOffIdentical) {
   expect_identical_experiments(anchored, oracle);
 }
 
-TEST(ExperimentDeterminism, BatchAndSimdKnobsIdentical) {
-  // Experiment-level restatement of the knob extremes: the report
-  // metrics (which drive the vector pipeline in batch_size() chunks)
-  // must not depend on either knob. Serial execution keeps the
-  // process-wide guards race-free.
+TEST(ExperimentDeterminism, SimdKnobIdentical) {
+  // Experiment-level restatement of the SIMD extremes: the report
+  // metrics must not depend on the kernel level. Serial execution keeps
+  // the process-wide guard race-free.
   auto cfg = small_experiment();
   cfg.exec = report::ExecMode::kSerial;
-  cfg.analysis.parallel_streams = false;
-  const auto batched = report::run_experiment(cfg);
-  const net::BatchModeGuard batch(1);
+  cfg.analysis.shards = 1;
+  const auto detected = report::run_experiment(cfg);
   const dpi::SimdModeGuard simd(dpi::SimdLevel::kScalar);
-  const auto fused = report::run_experiment(cfg);
-  expect_identical_experiments(batched, fused);
+  const auto scalar = report::run_experiment(cfg);
+  expect_identical_experiments(detected, scalar);
 }
 
 TEST(ExperimentDeterminism, EnvParallelKnob) {
   setenv("RTCC_PARALLEL", "0", 1);
   auto cfg = report::experiment_config_from_env();
   EXPECT_EQ(cfg.exec, report::ExecMode::kSerial);
-  EXPECT_FALSE(cfg.analysis.parallel_streams);
+  EXPECT_EQ(cfg.analysis.shards, 1u);
   setenv("RTCC_PARALLEL", "1", 1);
   cfg = report::experiment_config_from_env();
   EXPECT_EQ(cfg.exec, report::ExecMode::kPooled);
-  EXPECT_TRUE(cfg.analysis.parallel_streams);
+  EXPECT_EQ(cfg.analysis.shards, 0u);
   unsetenv("RTCC_PARALLEL");
   cfg = report::experiment_config_from_env();
   EXPECT_EQ(cfg.exec, report::ExecMode::kPooled);

@@ -154,7 +154,7 @@ TEST(MetaOracles, VerdictOracleDetectsADroppedFrame) {
   const Trace trace = trace_from_datagrams(rtp_corpus());
   const auto cfg = corpus_filter_config();
   const auto base = analyze_case(trace, cfg);
-  Trace tampered(trace.uses_arena());
+  Trace tampered;
   tampered.set_linktype(trace.linktype());
   for (std::size_t i = 0; i + 1 < trace.size(); ++i)
     tampered.add_frame(trace.frames()[i].ts, trace.bytes(trace.frames()[i]));

@@ -11,6 +11,8 @@
 //     ledger) and /healthz flips 200 -> 503 on drain;
 //   * SIGTERM through the real handler drains with exit code 0;
 //   * socket ingest feeds the same engine (one connection = one pcap);
+//   * the exporter outlasts a silent scraper and one that hangs up
+//     mid-response;
 //   * RTCC_SERVICE_EPOCH knob parses strictly with fallback.
 #include <gtest/gtest.h>
 
@@ -38,6 +40,7 @@
 #include "report/json_export.hpp"
 #include "report/metrics.hpp"
 #include "service/daemon.hpp"
+#include "service/http_exporter.hpp"
 
 namespace {
 
@@ -77,11 +80,10 @@ bool wait_until(const std::function<bool()>& pred, int timeout_ms = 30000) {
   return true;
 }
 
-/// Blocking HTTP/1.0 GET against the exporter; returns the full
-/// response (status line + headers + body), empty on connect failure.
-std::string http_get(std::uint16_t port, const std::string& path) {
+/// TCP connection to the exporter on loopback; -1 on failure.
+int connect_exporter(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -89,8 +91,16 @@ std::string http_get(std::uint16_t port, const std::string& path) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
       0) {
     ::close(fd);
-    return {};
+    return -1;
   }
+  return fd;
+}
+
+/// Blocking HTTP/1.0 GET against the exporter; returns the full
+/// response (status line + headers + body), empty on connect failure.
+std::string http_get(std::uint16_t port, const std::string& path) {
+  const int fd = connect_exporter(port);
+  if (fd < 0) return {};
   const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
   (void)!::write(fd, req.data(), req.size());
   std::string out;
@@ -361,6 +371,57 @@ TEST(Service, OneshotOnEmptyFolderDrainsImmediately) {
   EXPECT_EQ(jsonl.epoch_lines, 1u);  // the final pass always closes
   EXPECT_TRUE(jsonl.saw_final_epoch);
   fs::remove_all(dir);
+}
+
+TEST(Service, ExporterOutlastsASilentScraper) {
+  using namespace std::chrono_literals;
+  service::MetricsRegistry registry;
+  service::HttpExporter exporter(registry, [] { return true; });
+  std::string err;
+  ASSERT_TRUE(exporter.start(0, &err)) << err;
+
+  // A scraper that connects and never sends holds the serving thread
+  // for at most the client deadline; the next scrape is still answered.
+  const int silent = connect_exporter(exporter.port());
+  ASSERT_GE(silent, 0);
+  const std::string health = http_get(exporter.port(), "/healthz");
+  EXPECT_EQ(health.rfind("HTTP/1.0 200", 0), 0u) << health;
+
+  // stop() while the thread waits on another silent scraper.
+  const int stalled = connect_exporter(exporter.port());
+  ASSERT_GE(stalled, 0);
+  std::this_thread::sleep_for(100ms);
+  const auto t0 = std::chrono::steady_clock::now();
+  exporter.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s);
+  ::close(silent);
+  ::close(stalled);
+}
+
+TEST(Service, ExporterSurvivesAScraperThatHangsUp) {
+  // An exposition of several MB takes the exporter more than one send,
+  // so it is still sending when the closed scraper's kernel answers
+  // with a reset — the write after that raises SIGPIPE unless the
+  // exporter suppresses it.
+  service::MetricsRegistry registry;
+  for (int i = 0; i < 100000; ++i)
+    registry.set("rtcc_test_series_" + std::to_string(i), i);
+  service::HttpExporter exporter(registry, [] { return true; });
+  std::string err;
+  ASSERT_TRUE(exporter.start(0, &err)) << err;
+
+  for (int round = 0; round < 3; ++round) {
+    const int fd = connect_exporter(exporter.port());
+    ASSERT_GE(fd, 0);
+    const std::string req = "GET /metrics HTTP/1.0\r\n\r\n";
+    ASSERT_EQ(::write(fd, req.data(), req.size()),
+              static_cast<ssize_t>(req.size()));
+    ::close(fd);  // hang up at once, before any of the response
+  }
+  // The process survived every hang-up and the exporter still answers.
+  const std::string health = http_get(exporter.port(), "/healthz");
+  EXPECT_EQ(health.rfind("HTTP/1.0 200", 0), 0u) << health;
+  exporter.stop();
 }
 
 TEST(Service, ServiceEpochKnobParsesStrictlyWithFallback) {

@@ -6,6 +6,7 @@
 // determinism, and corpus-level equivalence.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -150,12 +151,13 @@ TEST(ShardedAnalyzeTrace, RespectsGlobalKnobAndParallelOff) {
     EXPECT_EQ(got.shards.size(), 2u);
   }
   {
-    // parallel_streams = false (RTCC_PARALLEL=0) wins over the knob:
-    // fully serial means no shard workers.
+    // RTCC_PARALLEL=0 pins shards = 1, which wins over the knob: fully
+    // serial means no shard workers.
     const report::ShardModeGuard guard(4);
-    report::AnalysisOptions opts;
-    opts.parallel_streams = false;
-    const auto got = report::analyze_trace(call.trace, fcfg, opts);
+    setenv("RTCC_PARALLEL", "0", 1);
+    const auto cfg = report::experiment_config_from_env();
+    unsetenv("RTCC_PARALLEL");
+    const auto got = report::analyze_trace(call.trace, fcfg, cfg.analysis);
     EXPECT_TRUE(got.shards.empty());
   }
 }

@@ -7,6 +7,7 @@
 #include "dpi/anchor_scan.hpp"
 #include "dpi/scanning_dpi.hpp"
 #include "dpi/simd_dispatch.hpp"
+#include "testkit/mutators.hpp"
 #include "testkit/oracles.hpp"
 #include "testkit/seeds.hpp"
 #include "util/rng.hpp"
@@ -85,7 +86,8 @@ TEST(SimdDispatch, ModeGuardRestores) {
 
 /// Anchored-vs-reference and anchored-vs-naive sweeps with the level
 /// pinned: random payloads across block-boundary sizes, then full seed
-/// streams through the scan-equivalence oracle.
+/// streams through the scan-equivalence oracle, as seeded and tiled to
+/// every chunk edge length.
 void sweep_level(SimdLevel level) {
   const rtcc::dpi::SimdModeGuard guard(level);
   ASSERT_EQ(rtcc::dpi::simd_level(), level);
@@ -100,11 +102,20 @@ void sweep_level(SimdLevel level) {
     const auto err = rtcc::testkit::check_anchor_parity(BytesView{buf});
     EXPECT_FALSE(err.has_value()) << "size " << size << ": " << *err;
   }
+  rtcc::util::Rng tile_rng(0x711e);
   for (const auto family : rtcc::testkit::all_seed_families()) {
     auto stream = rtcc::testkit::make_seed_stream(family, rng, 5);
     const auto err = rtcc::testkit::check_scan_equivalence(stream.datagrams);
     EXPECT_FALSE(err.has_value())
         << rtcc::testkit::to_string(family) << ": " << *err;
+    for (const std::size_t n : rtcc::testkit::kChunkEdgeLengths) {
+      const auto tiled =
+          rtcc::testkit::mutate_batch_boundary(stream.datagrams, n, tile_rng);
+      const auto tiled_err = rtcc::testkit::check_scan_equivalence(tiled);
+      EXPECT_FALSE(tiled_err.has_value())
+          << rtcc::testkit::to_string(family) << " n=" << n << ": "
+          << *tiled_err;
+    }
   }
 }
 
@@ -130,11 +141,20 @@ TEST(SimdDispatch, NeonSweep) {
 
 TEST(SimdDispatch, CrossLevelParityOnSeedStreams) {
   rtcc::util::Rng rng(0xd15f);
+  rtcc::util::Rng tile_rng(0x711e);
   for (const auto family : rtcc::testkit::all_seed_families()) {
     auto stream = rtcc::testkit::make_seed_stream(family, rng, 6);
     const auto err = rtcc::testkit::check_simd_parity(stream.datagrams);
     EXPECT_FALSE(err.has_value())
         << rtcc::testkit::to_string(family) << ": " << *err;
+    for (const std::size_t n : rtcc::testkit::kChunkEdgeLengths) {
+      const auto tiled =
+          rtcc::testkit::mutate_batch_boundary(stream.datagrams, n, tile_rng);
+      const auto tiled_err = rtcc::testkit::check_simd_parity(tiled);
+      EXPECT_FALSE(tiled_err.has_value())
+          << rtcc::testkit::to_string(family) << " n=" << n << ": "
+          << *tiled_err;
+    }
   }
 }
 
