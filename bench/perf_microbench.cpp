@@ -3,8 +3,6 @@
 // tradeoff), and end-to-end pipeline cost per packet.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +21,6 @@
 #include "report/corpus.hpp"
 #include "report/metrics.hpp"
 #include "report/shard.hpp"
-#include "service/daemon.hpp"
 #include "stream/chunk_reader.hpp"
 #include "stream/engine.hpp"
 #include "stream/stream_mode.hpp"
@@ -509,107 +506,6 @@ void BM_EndToEndCall(benchmark::State& state) {
   state.counters["frames"] = static_cast<double>(call.trace.size());
 }
 BENCHMARK(BM_EndToEndCall);
-
-/// Service-mode flow churn: >= 100k short-lived RTP flows pushed
-/// through one StreamingAnalyzer configured the way rtccd runs it —
-/// keep-everything filter, tight idle budget (flows retire ~0.5 s of
-/// capture clock after they go quiet), 1 s epochs with a live sink.
-/// Measures sustained ingest throughput (bytes_per_second) and the
-/// verdict latency distribution: wall time from a flow's last pushed
-/// frame to its verdict leaving the epoch sink. Published as
-/// BENCH_service.json by release-bench CI.
-void BM_ServiceChurn(benchmark::State& state) {
-  using clock = std::chrono::steady_clock;
-  const std::size_t flows = static_cast<std::size_t>(state.range(0));
-  constexpr int kPacketsPerFlow = 3;
-  constexpr double kFlowSpacingS = 0.001;  // 1k new flows per capture-sec
-
-  // Pre-build every frame once (checksums off the timed path). Flows
-  // get unique 5-tuples: src port sweeps the ephemeral range, the
-  // source address bumps when it wraps.
-  static std::size_t built_for = 0;
-  static std::vector<util::Bytes> frames;
-  static std::uint64_t wire_bytes = 0;
-  if (built_for != flows) {
-    const util::Bytes payload = sample_rtp(160);
-    const auto dst = net::IpAddr::parse("203.0.113.9");
-    frames.clear();
-    frames.reserve(flows * kPacketsPerFlow);
-    wire_bytes = 0;
-    for (std::size_t f = 0; f < flows; ++f) {
-      net::FrameSpec spec;
-      spec.src = *net::IpAddr::parse(
-          "10.0." + std::to_string(f / 60000 % 256) + ".1");
-      spec.dst = *dst;
-      spec.src_port = static_cast<std::uint16_t>(1024 + f % 60000);
-      spec.dst_port = 5004;
-      for (int p = 0; p < kPacketsPerFlow; ++p) {
-        frames.push_back(net::build_frame(spec, util::BytesView{payload}));
-        wire_bytes += frames.back().size();
-      }
-    }
-    built_for = flows;
-  }
-
-  const filter::FilterConfig fcfg = service::keep_all_filter_config();
-  stream::StreamOptions sopts;
-  sopts.idle_timeout_s = 0.5;
-  sopts.max_flows = 8192;
-
-  std::vector<double> latencies_ms;
-  std::uint64_t verdicts = 0, epochs = 0, evicted = 0, live_peak = 0;
-  for (auto _ : state) {
-    stream::StreamingAnalyzer engine(net::kLinkEthernet, fcfg, {}, sopts);
-    std::vector<clock::time_point> last_push(flows);
-    latencies_ms.clear();
-    latencies_ms.reserve(flows);
-    verdicts = epochs = 0;
-    engine.set_epoch(1.0, [&](const stream::EpochReport& ep) {
-      const auto now = clock::now();
-      ++epochs;
-      for (const auto& v : ep.verdicts) {
-        if (v.amends || v.ordinal >= flows) continue;
-        ++verdicts;
-        latencies_ms.push_back(
-            std::chrono::duration<double, std::milli>(
-                now - last_push[v.ordinal])
-                .count());
-      }
-    });
-    std::size_t i = 0;
-    for (std::size_t f = 0; f < flows; ++f) {
-      const double t0 = static_cast<double>(f) * kFlowSpacingS;
-      for (int p = 0; p < kPacketsPerFlow; ++p, ++i) {
-        engine.push_frame(util::BytesView{frames[i]}, t0 + 0.01 * p);
-        last_push[f] = clock::now();
-      }
-    }
-    auto analysis = engine.finish();
-    evicted = analysis.flows.evictions;
-    live_peak = analysis.flows.live_peak_bytes;
-    benchmark::DoNotOptimize(analysis);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(wire_bytes));
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  const auto pct = [&](double q) {
-    if (latencies_ms.empty()) return 0.0;
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(latencies_ms.size() - 1));
-    return latencies_ms[idx];
-  };
-  state.counters["p50_verdict_ms"] = pct(0.50);
-  state.counters["p99_verdict_ms"] = pct(0.99);
-  state.counters["verdicts"] = static_cast<double>(verdicts);
-  state.counters["epochs"] = static_cast<double>(epochs);
-  state.counters["flows_evicted"] = static_cast<double>(evicted);
-  state.counters["live_peak_mb"] = static_cast<double>(live_peak) / 1e6;
-}
-BENCHMARK(BM_ServiceChurn)
-    ->Arg(100000)
-    ->ArgNames({"flows"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 }  // namespace
 

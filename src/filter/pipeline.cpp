@@ -4,6 +4,13 @@
 
 namespace rtcc::filter {
 
+std::size_t ThreeTupleHash::operator()(const ThreeTuple& t) const noexcept {
+  std::size_t h = rtcc::net::IpAddrHash{}(t.ip);
+  h ^= (std::size_t{t.port} << 8 | static_cast<std::size_t>(t.transport)) +
+       0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  return h;
+}
+
 using rtcc::net::IpAddr;
 using rtcc::net::Stream;
 using rtcc::net::StreamTable;

@@ -107,6 +107,10 @@ struct ThreeTuple {
   auto operator<=>(const ThreeTuple&) const = default;
 };
 
+struct ThreeTupleHash {
+  std::size_t operator()(const ThreeTuple& t) const noexcept;
+};
+
 [[nodiscard]] std::vector<ThreeTuple> collect_outside_tuples(
     const rtcc::net::StreamTable& table, const FilterConfig& cfg,
     const std::vector<bool>& removed_stage1);

@@ -112,7 +112,10 @@ class ShardedPipeline {
   /// already booked into `*partial` by the caller) to the shard owning
   /// `key`, chunked by kBatchSize so the shard's handoff accounting
   /// is byte-identical to submit_stream's. `keepalive` must pin the
-  /// payload bytes the batch views. Producer thread only.
+  /// payload bytes the batch views. The shard writes `*partial` before
+  /// it releases the keepalive and never touches it after, so a caller
+  /// that observes the release may read or free the partial before
+  /// finish(). Producer thread only.
   std::size_t submit_batch(const rtcc::net::FlowKey& key,
                            const rtcc::net::PacketBatch& batch,
                            CallAnalysis* partial,

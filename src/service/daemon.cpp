@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -12,6 +13,7 @@
 #include <set>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "proto/common.hpp"
 #include "stream/chunk_reader.hpp"
@@ -151,24 +153,30 @@ bool Daemon::start(std::string* error) {
   for (const char* name :
        {"rtcc_service_files_processed", "rtcc_service_files_failed",
         "rtcc_service_socket_streams", "rtcc_service_socket_failed",
-        "rtcc_service_epochs", "rtcc_verdicts_emitted",
-        "rtcc_verdicts_amended"})
+        "rtcc_service_epochs", "rtcc_service_jsonl_write_errors",
+        "rtcc_verdicts_emitted", "rtcc_verdicts_amended"})
     metrics_.set(name, 0);
   publish_engine_metrics();
   return true;
 }
 
 int Daemon::run() {
-  // Files already handed out by poll_stable() but whose rename failed
-  // (e.g. read-only folder): never re-ingest them.
-  std::set<std::string> handled;
+  // Processed files whose rename failed (e.g. read-only folder): they
+  // stay in the folder, and must never be re-ingested. A path leaves
+  // the set once it is no longer offered (removed or rewritten), so the
+  // set never outgrows the folder.
+  std::set<std::string> unmarked;
 
   while (!stop_.load(std::memory_order_acquire)) {
     bool worked = false;
     if (!opts_.watch_dir.empty()) {
-      for (const auto& path : watch_.poll_stable()) {
-        if (!handled.insert(path).second) continue;
-        process_file(path);
+      const std::vector<std::string> ready = watch_.poll_stable();
+      std::erase_if(unmarked, [&ready](const std::string& path) {
+        return !std::binary_search(ready.begin(), ready.end(), path);
+      });
+      for (const auto& path : ready) {
+        if (unmarked.count(path) > 0) continue;
+        if (!process_file(path)) unmarked.insert(path);
         worked = true;
         if (stop_.load(std::memory_order_acquire)) break;
       }
@@ -220,15 +228,14 @@ bool Daemon::process_file(const std::string& path) {
   publish_engine_metrics();
   // Completion counters last: once a scrape sees the file counted, the
   // ledger it contributed to is already published.
+  const bool marked = WatchDir::mark(path, ok ? ".done" : ".err");
   if (ok) {
-    WatchDir::mark(path, ".done");
     metrics_.add("rtcc_service_files_processed", 1);
   } else {
     std::fprintf(stderr, "rtccd: %s: %s\n", path.c_str(), err.c_str());
-    WatchDir::mark(path, ".err");
     metrics_.add("rtcc_service_files_failed", 1);
   }
-  return ok;
+  return marked;
 }
 
 bool Daemon::poll_socket() {
@@ -251,7 +258,11 @@ bool Daemon::poll_socket() {
 }
 
 void Daemon::on_epoch(const rtcc::stream::EpochReport& ep) {
-  if (writer_) writer_->write_epoch(ep);
+  if (writer_) {
+    writer_->write_epoch(ep);
+    metrics_.set("rtcc_service_jsonl_write_errors",
+                 static_cast<double>(writer_->write_errors()));
+  }
   metrics_.add("rtcc_service_epochs", 1);
   for (const auto& v : ep.verdicts) {
     if (v.amends) {
@@ -281,7 +292,8 @@ void Daemon::on_epoch(const rtcc::stream::EpochReport& ep) {
           metrics_.add(series("rtcc_compliance_compliant", label),
                        static_cast<double>(st.compliant));
         }
-        contributions_[v.ordinal] = std::move(c);
+        // A settled verdict is never amended: nothing to retract later.
+        if (!v.settled) contributions_[v.ordinal] = std::move(c);
       }
     }
   }
@@ -299,6 +311,8 @@ void Daemon::on_epoch(const rtcc::stream::EpochReport& ep) {
 void Daemon::publish_engine_metrics() {
   metrics_.set("rtcc_flows_live",
                static_cast<double>(engine_.live_flow_count()));
+  metrics_.set("rtcc_flows_held",
+               static_cast<double>(engine_.held_records()));
   const auto& fs = engine_.flow_stats();
   metrics_.set("rtcc_flows_seen", static_cast<double>(fs.flows_seen));
   metrics_.set("rtcc_flows_live_peak", static_cast<double>(fs.flows_live));
@@ -342,6 +356,13 @@ void Daemon::install_signal_handlers(Daemon* daemon) {
   sa.sa_flags = 0;  // no SA_RESTART: blocking ingest reads must wake
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
+  // A JSONL consumer that goes away (a FIFO or pipe reader exiting)
+  // must not kill the daemon: writes then fail with EPIPE, which the
+  // writer counts, and ingest carries on.
+  struct sigaction ignore {};
+  ignore.sa_handler = SIG_IGN;
+  sigemptyset(&ignore.sa_mask);
+  ::sigaction(SIGPIPE, &ignore, nullptr);
 }
 
 }  // namespace rtcc::service

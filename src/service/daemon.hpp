@@ -83,13 +83,20 @@ class Daemon {
   void request_stop() { stop_.store(true, std::memory_order_release); }
 
   /// Installs SIGTERM/SIGINT handlers that request_stop() this daemon
-  /// (at most one daemon per process).
+  /// (at most one daemon per process), and ignores SIGPIPE so a JSONL
+  /// reader that goes away costs write errors, not the process.
   static void install_signal_handlers(Daemon* daemon);
 
   [[nodiscard]] std::uint16_t metrics_port() const {
     return exporter_ ? exporter_->port() : 0;
   }
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
+
+  /// Kept verdicts whose compliance contribution is held for a possible
+  /// amendment; settled verdicts hold none (always 0 under keep-all).
+  [[nodiscard]] std::size_t held_contributions() const {
+    return contributions_.size();
+  }
 
   /// The merged end-of-run analysis; set once run() returns.
   [[nodiscard]] const std::optional<rtcc::report::CallAnalysis>&
@@ -98,6 +105,8 @@ class Daemon {
   }
 
  private:
+  /// Ingests one drop file and renames it .done/.err; false when the
+  /// rename failed, so the file is still in the folder.
   bool process_file(const std::string& path);
   bool poll_socket();  // accepts + ingests one connection; true if any
   void on_epoch(const stream::EpochReport& ep);
@@ -113,8 +122,9 @@ class Daemon {
   std::unique_ptr<HttpExporter> exporter_;
   int ingest_fd_ = -1;  // listening unix socket
   std::optional<rtcc::report::CallAnalysis> final_;
-  /// Per-ordinal compliance contribution of kept verdicts, so an
-  /// amendment (kept -> removed) retracts exactly what it once added.
+  /// Per-ordinal compliance contribution of kept, unsettled verdicts,
+  /// so an amendment (kept -> removed) retracts exactly what it once
+  /// added.
   struct Contribution {
     std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> by_proto;
   };

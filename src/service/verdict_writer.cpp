@@ -38,8 +38,7 @@ void VerdictWriter::write_epoch(const rtcc::stream::EpochReport& ep) {
     w.key("flows_rekeyed").value(ep.flows.flows_rekeyed);
     w.key("live_peak_bytes").value(ep.flows.live_peak_bytes);
     w.end_object();
-    std::fputs(w.str().c_str(), fp_);
-    std::fputc('\n', fp_);
+    put_line(w.str());
     ++epoch_lines_;
   }
   for (const auto& v : ep.verdicts) {
@@ -62,11 +61,22 @@ void VerdictWriter::write_epoch(const rtcc::stream::EpochReport& ep) {
       w.key("compliant").value(v.partial->total_compliant());
     }
     w.end_object();
-    std::fputs(w.str().c_str(), fp_);
-    std::fputc('\n', fp_);
+    put_line(w.str());
     ++verdict_lines_;
   }
-  std::fflush(fp_);
+  if (std::fflush(fp_) != 0) failed_ = true;
+  if (failed_) {
+    // EPIPE (the reader went away) or ENOSPC: count the epoch as lost
+    // and clear the stream's error so a recovered sink resumes.
+    ++write_errors_;
+    failed_ = false;
+    std::clearerr(fp_);
+  }
+}
+
+void VerdictWriter::put_line(const std::string& line) {
+  if (std::fputs(line.c_str(), fp_) == EOF || std::fputc('\n', fp_) == EOF)
+    failed_ = true;
 }
 
 }  // namespace rtcc::service

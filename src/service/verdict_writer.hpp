@@ -37,14 +37,22 @@ class VerdictWriter {
 
   /// Writes the epoch summary line followed by one line per verdict,
   /// then flushes — a consumer tailing the file sees complete epochs.
+  /// A failed write or flush (EPIPE from a departed reader, ENOSPC)
+  /// counts one write error for the epoch; it never throws or aborts.
   void write_epoch(const rtcc::stream::EpochReport& ep);
 
   [[nodiscard]] std::uint64_t verdict_lines() const { return verdict_lines_; }
   [[nodiscard]] std::uint64_t epoch_lines() const { return epoch_lines_; }
+  /// Epochs whose lines could not all be written.
+  [[nodiscard]] std::uint64_t write_errors() const { return write_errors_; }
 
  private:
+  void put_line(const std::string& line);
+
   std::FILE* fp_ = nullptr;
   bool owned_ = false;
+  bool failed_ = false;  // a write of the current epoch failed
+  std::uint64_t write_errors_ = 0;
   std::uint64_t verdict_lines_ = 0;
   std::uint64_t epoch_lines_ = 0;
 };

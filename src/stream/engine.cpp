@@ -15,18 +15,46 @@ using rtcc::net::IpAddr;
 using rtcc::net::Transport;
 using rtcc::report::CallAnalysis;
 
-namespace {
+using rtcc::filter::Disposition;
 
-bool is_device(const IpAddr& ip, const rtcc::filter::FilterConfig& cfg) {
-  return std::find(cfg.device_ips.begin(), cfg.device_ips.end(), ip) !=
-         cfg.device_ips.end();
-}
+namespace {
 
 /// Probe window mirroring filter::stream_sni: the ClientHello sits in
 /// the first packets of a TCP stream.
 constexpr std::uint8_t kSniProbePackets = 8;
 
+/// Past every timestamp a pcap record can carry: 32-bit seconds plus a
+/// sub-second part the reader clamps below one.
+constexpr double kPcapClockEnd = 4294967297.0;  // 2^32 + 1 s
+
+/// Table 1 accounting for one flow under its final disposition.
+void account(CallAnalysis& out, const FlowRecord& rec, Disposition d) {
+  const bool udp = rec.udp();
+  if (udp) {
+    ++out.raw_udp_streams;
+    out.raw_udp_datagrams += rec.packet_count;
+  } else {
+    ++out.raw_tcp_streams;
+    out.raw_tcp_segments += rec.packet_count;
+  }
+  const bool removed1 = d == Disposition::kStage1Timespan;
+  const bool removed2 = rtcc::filter::is_stage2(d);
+  auto& stage = removed1 ? (udp ? out.stage1_udp : out.stage1_tcp)
+                : removed2 ? (udp ? out.stage2_udp : out.stage2_tcp)
+                           : (udp ? out.rtc_udp : out.rtc_tcp);
+  ++stage.streams;
+  stage.packets += rec.packet_count;
+}
+
 }  // namespace
+
+std::size_t StreamingAnalyzer::IpPairHash::operator()(
+    const IpPair& p) const noexcept {
+  const rtcc::net::IpAddrHash ih;
+  std::size_t h = ih(p.first);
+  h ^= ih(p.second) + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  return h;
+}
 
 StreamingAnalyzer::StreamingAnalyzer(std::uint32_t linktype,
                                      const rtcc::filter::FilterConfig& fcfg,
@@ -40,7 +68,9 @@ StreamingAnalyzer::StreamingAnalyzer(std::uint32_t linktype,
       decoder_(linktype),
       dpi_(opts.scan),
       in_flight_(std::make_shared<std::atomic<std::uint64_t>>(0)),
-      nshards_(rtcc::report::effective_shards(opts)) {}
+      nshards_(rtcc::report::effective_shards(opts)),
+      settle_all_(fcfg.schedule.window_begin() <= 0 &&
+                  fcfg.schedule.window_end() >= kPcapClockEnd) {}
 
 StreamingAnalyzer::~StreamingAnalyzer() = default;
 
@@ -96,7 +126,7 @@ void StreamingAnalyzer::push_frame(rtcc::util::BytesView wire, double ts,
     epoch_open_ = true;
     epoch_anchor_ = clock_;
   } else if (epoch_s_ > 0 && clock_ >= epoch_anchor_ + epoch_s_) {
-    emit_epoch(/*final_pass=*/false, nullptr);
+    emit_epoch(/*final_pass=*/false, take_worklist());
     epoch_anchor_ = clock_;
   }
   ++epoch_frames_;
@@ -130,12 +160,7 @@ void StreamingAnalyzer::push_frame(rtcc::util::BytesView wire, double ts,
     rec.last_ts = std::max(rec.last_ts, ts);
   }
   ++rec.packet_count;
-
-  // Stage 1 enclosure is monotone in the packet span: one timestamp
-  // outside the expanded window condemns the flow for good.
-  if (!rec.condemned && (ts < fcfg_.schedule.window_begin() ||
-                         ts > fcfg_.schedule.window_end()))
-    condemn(rec);
+  note_witnesses(rec);
 
   if (!rec.condemned) {
     if (rec.udp()) {
@@ -162,8 +187,69 @@ void StreamingAnalyzer::push_frame(rtcc::util::BytesView wire, double ts,
   update_peak();
 }
 
+bool StreamingAnalyzer::is_device(const IpAddr& ip) const {
+  return std::find(fcfg_.device_ips.begin(), fcfg_.device_ips.end(), ip) !=
+         fcfg_.device_ips.end();
+}
+
+void StreamingAnalyzer::note_witnesses(FlowRecord& rec) {
+  const double wb = fcfg_.schedule.window_begin();
+  // Stage 1 enclosure is monotone in the packet span: once the span
+  // leaves the expanded window the flow is condemned for good, and its
+  // non-device endpoints become outside 3-tuples (stage 2a evidence).
+  if (!rec.outside &&
+      !(rec.first_ts >= wb && rec.last_ts <= fcfg_.schedule.window_end())) {
+    rec.outside = true;
+    if (!rec.condemned) condemn(rec);
+    const FlowKey& k = rec.key;
+    for (const auto& [ip, port] : {std::pair{k.a, k.a_port},
+                                   std::pair{k.b, k.b_port}}) {
+      if (is_device(ip)) continue;
+      const ThreeTuple t{ip, port, k.transport};
+      if (outside_tuples_.insert(t).second) fire_bucket(by_tuple_, t);
+    }
+  }
+  // Stage 2c evidence: the flow's IP pair was active before the call.
+  if (!rec.precall && rec.first_ts < wb) {
+    rec.precall = true;
+    const IpPair pair{rec.key.a, rec.key.b};
+    if (precall_pairs_.insert(pair).second) fire_bucket(by_pair_, pair);
+  }
+}
+
+template <typename Map, typename Key>
+void StreamingAnalyzer::fire_bucket(Map& buckets, const Key& key) {
+  const auto it = buckets.find(key);
+  if (it == buckets.end()) return;
+  auto& records = table_.records();
+  for (const Ref& ref : it->second) {
+    FlowRecord& rec = records[ref.slot];
+    // Skip stale entries: the record settled through another witness
+    // and was released (its slot possibly reused since).
+    if (rec.emitted && rec.ordinal == ref.ordinal) amend_.push_back(ref.slot);
+  }
+  buckets.erase(it);
+}
+
+void StreamingAnalyzer::index_unsettled(const FlowRecord& rec) {
+  const FlowKey& k = rec.key;
+  const Ref ref{rec.slot, rec.ordinal};
+  const bool a_dev = is_device(k.a);
+  const bool b_dev = is_device(k.b);
+  // An outside tuple already seen would have made the record 2a —
+  // settled — so every tuple indexed here is still unseen.
+  if (!a_dev) by_tuple_[ThreeTuple{k.a, k.a_port, k.transport}].push_back(ref);
+  if (!b_dev) by_tuple_[ThreeTuple{k.b, k.b_port, k.transport}].push_back(ref);
+  const bool local_remote =
+      (!a_dev && k.a.is_local_scope()) || (!b_dev && k.b.is_local_scope());
+  const IpPair pair{k.a, k.b};
+  if (local_remote && precall_pairs_.count(pair) == 0)
+    by_pair_[pair].push_back(ref);
+}
+
 void StreamingAnalyzer::on_evict(FlowRecord& rec, EvictReason reason) {
   if (reason == EvictReason::kDrain) return;  // finish() analyzes kept flows
+  pending_.push_back(rec.slot);
   // Mid-capture eviction drops the payload bytes, so the flow must be
   // analyzed *now*, speculatively: whether it is kept is only known at
   // finish(), which discards the partial if the flow ends up filtered.
@@ -233,84 +319,38 @@ void StreamingAnalyzer::analyze_record(FlowRecord& rec,
   }
 }
 
-std::vector<rtcc::filter::Disposition> StreamingAnalyzer::compute_dispositions()
-    const {
-  using rtcc::filter::Disposition;
-  const auto& records = table_.records();
-  const std::size_t n = records.size();
-  const double wb = fcfg_.schedule.window_begin();
-  const double we = fcfg_.schedule.window_end();
-
+Disposition StreamingAnalyzer::disposition_of(const FlowRecord& rec) const {
   // ---- Stage 1: timespan enclosure (filter::enclosed_in_window) ----
-  std::vector<bool> removed1(n, false);
-  for (std::size_t i = 0; i < n; ++i)
-    removed1[i] = !(records[i].first_ts >= wb && records[i].last_ts <= we);
-
-  // ---- Stage 2 evidence (filter::run_pipeline, from retained
-  // metadata instead of a stream table). Both witness sets only ever
-  // grow as flows accumulate, which is what makes mid-capture
-  // (epoch-boundary) dispositions provisional in one direction only:
-  // kept can later flip to removed, removed never flips back. ----
-  std::vector<ThreeTuple> outside_tuples;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!removed1[i]) continue;
-    const FlowKey& k = records[i].key;
-    if (!is_device(k.a, fcfg_))
-      outside_tuples.push_back(ThreeTuple{k.a, k.a_port, k.transport});
-    if (!is_device(k.b, fcfg_))
-      outside_tuples.push_back(ThreeTuple{k.b, k.b_port, k.transport});
-  }
-  std::sort(outside_tuples.begin(), outside_tuples.end());
-  outside_tuples.erase(
-      std::unique(outside_tuples.begin(), outside_tuples.end()),
-      outside_tuples.end());
-
-  std::vector<std::pair<IpAddr, IpAddr>> precall_pairs;
-  for (std::size_t i = 0; i < n; ++i)
-    if (records[i].first_ts < wb)
-      precall_pairs.emplace_back(records[i].key.a, records[i].key.b);
-  std::sort(precall_pairs.begin(), precall_pairs.end());
-  precall_pairs.erase(
-      std::unique(precall_pairs.begin(), precall_pairs.end()),
-      precall_pairs.end());
-
-  const auto tuple_outside = [&](const IpAddr& ip, std::uint16_t port,
-                                 Transport transport) {
-    return std::binary_search(outside_tuples.begin(), outside_tuples.end(),
-                              ThreeTuple{ip, port, transport});
+  if (rec.outside) return Disposition::kStage1Timespan;
+  // ---- Stage 2 (filter::run_pipeline, from retained metadata and the
+  // witness sets instead of a stream table) ----
+  const FlowKey& k = rec.key;
+  const bool a_dev = is_device(k.a);
+  const bool b_dev = is_device(k.b);
+  const auto outside = [&](const IpAddr& ip, std::uint16_t port) {
+    return outside_tuples_.count(ThreeTuple{ip, port, k.transport}) > 0;
   };
+  // 2a — 3-tuple timing.
+  if ((!a_dev && outside(k.a, k.a_port)) || (!b_dev && outside(k.b, k.b_port)))
+    return Disposition::kStage2ThreeTuple;
+  // 2b — TLS SNI blocklist (TCP only).
+  if (k.transport == Transport::kTcp && rec.sni &&
+      rtcc::filter::sni_blocked(*rec.sni, fcfg_.sni_blocklist))
+    return Disposition::kStage2Sni;
+  // 2c — local-scope remote whose IP pair appeared pre-call.
+  if (((!a_dev && k.a.is_local_scope()) || (!b_dev && k.b.is_local_scope())) &&
+      precall_pairs_.count(IpPair{k.a, k.b}) > 0)
+    return Disposition::kStage2LocalIp;
+  // 2d — port-based exclusion.
+  if (fcfg_.excluded_ports.count(k.a_port) > 0 ||
+      fcfg_.excluded_ports.count(k.b_port) > 0)
+    return Disposition::kStage2Port;
+  return Disposition::kKept;
+}
 
-  std::vector<Disposition> disp(n, Disposition::kKept);
-  for (std::size_t i = 0; i < n; ++i) {
-    const FlowKey& k = records[i].key;
-    if (removed1[i]) {
-      disp[i] = Disposition::kStage1Timespan;
-      continue;
-    }
-    const bool a_dev = is_device(k.a, fcfg_);
-    const bool b_dev = is_device(k.b, fcfg_);
-    // 2a — 3-tuple timing.
-    if ((!a_dev && tuple_outside(k.a, k.a_port, k.transport)) ||
-        (!b_dev && tuple_outside(k.b, k.b_port, k.transport))) {
-      disp[i] = Disposition::kStage2ThreeTuple;
-    } else if (k.transport == Transport::kTcp && records[i].sni &&
-               rtcc::filter::sni_blocked(*records[i].sni,
-                                         fcfg_.sni_blocklist)) {
-      // 2b — TLS SNI blocklist (TCP only).
-      disp[i] = Disposition::kStage2Sni;
-    } else if (((!a_dev && k.a.is_local_scope()) ||
-                (!b_dev && k.b.is_local_scope())) &&
-               std::binary_search(precall_pairs.begin(), precall_pairs.end(),
-                                  std::make_pair(k.a, k.b))) {
-      // 2c — local-scope remote whose IP pair appeared pre-call.
-      disp[i] = Disposition::kStage2LocalIp;
-    } else if (fcfg_.excluded_ports.count(k.a_port) > 0 ||
-               fcfg_.excluded_ports.count(k.b_port) > 0) {
-      // 2d — port-based exclusion.
-      disp[i] = Disposition::kStage2Port;
-    }
-  }
-  return disp;
+bool StreamingAnalyzer::settles(Disposition d) const {
+  return settle_all_ || d == Disposition::kStage1Timespan ||
+         d == Disposition::kStage2ThreeTuple;
 }
 
 void StreamingAnalyzer::set_epoch(double epoch_s, EpochSink sink) {
@@ -320,12 +360,40 @@ void StreamingAnalyzer::set_epoch(double epoch_s, EpochSink sink) {
 
 void StreamingAnalyzer::finish_epoch() {
   if (!sink_) return;
-  emit_epoch(/*final_pass=*/false, nullptr);
+  emit_epoch(/*final_pass=*/false, take_worklist());
   epoch_anchor_ = clock_;
 }
 
-void StreamingAnalyzer::emit_epoch(
-    bool final_pass, const std::vector<rtcc::filter::Disposition>* precomputed) {
+std::vector<std::size_t> StreamingAnalyzer::take_worklist() {
+  auto& records = table_.records();
+  std::vector<std::size_t> slots;
+  slots.reserve(pending_.size() + amend_.size());
+  // Provisional verdicts cover only retired flows (frozen span, frozen
+  // metadata) whose speculative analysis — if any — has drained out of
+  // the shard workers; anything else waits for a later epoch.
+  std::size_t waiting = 0;
+  for (const std::size_t slot : pending_) {
+    const FlowRecord& rec = records[slot];
+    if (rec.analysis_ready &&
+        !rec.analysis_ready->load(std::memory_order_acquire))
+      pending_[waiting++] = slot;
+    else
+      slots.push_back(slot);
+  }
+  pending_.resize(waiting);
+  slots.insert(slots.end(), amend_.begin(), amend_.end());
+  amend_.clear();
+  std::sort(slots.begin(), slots.end(),
+            [&records](std::size_t x, std::size_t y) {
+              return records[x].ordinal < records[y].ordinal;
+            });
+  // Several witnesses may have queued the same record this epoch.
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  return slots;
+}
+
+void StreamingAnalyzer::emit_epoch(bool final_pass,
+                                   const std::vector<std::size_t>& slots) {
   EpochReport ep;
   ep.epoch = epoch_index_++;
   ep.clock_end = clock_;
@@ -336,51 +404,50 @@ void StreamingAnalyzer::emit_epoch(
   epoch_bytes_ = 0;
   if (!sink_) return;  // window counters still reset: epochs stay disjoint
 
-  std::vector<rtcc::filter::Disposition> local;
-  if (precomputed == nullptr) {
-    local = compute_dispositions();
-    precomputed = &local;
-  }
-  const auto& disp = *precomputed;
-  const auto& records = table_.records();
-  emitted_.resize(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const FlowRecord& rec = records[i];
-    EmitState& st = emitted_[i];
-    const bool ready =
-        !rec.analysis_ready ||
-        rec.analysis_ready->load(std::memory_order_acquire);
-    const bool first = !st.emitted;
-    if (first) {
-      if (!final_pass) {
-        // Provisional verdicts cover only retired flows (frozen span,
-        // frozen metadata) whose speculative analysis — if any — has
-        // drained out of the shard workers; anything else waits for a
-        // later epoch.
-        if (!rec.retired) continue;
-        if (rec.partial != nullptr && !ready) continue;
-      }
-    } else if (st.disposition == disp[i]) {
+  auto& records = table_.records();
+  std::vector<std::size_t> emitted;  // slot of each verdict, in order
+  for (const std::size_t slot : slots) {
+    FlowRecord& rec = records[slot];
+    const Disposition d = disposition_of(rec);
+    const bool first = !rec.emitted;
+    if (!first && d == rec.emitted_disposition)
       continue;  // verdict stands — emitted ordinals never repeat
-    }
-    st.emitted = true;
-    st.disposition = disp[i];
+    const bool settled = final_pass || settles(d);
+    if (first && !settled) index_unsettled(rec);
+    rec.emitted = true;
+    rec.emitted_disposition = d;
     FlowVerdict v;
     v.ordinal = rec.ordinal;
     v.key = rec.key;
     v.first_ts = rec.first_ts;
     v.last_ts = rec.last_ts;
     v.packets = rec.packet_count;
-    v.disposition = disp[i];
+    v.disposition = d;
     v.final_pass = final_pass;
     v.amends = !first;
-    if (disp[i] == rtcc::filter::Disposition::kKept && rec.udp() &&
-        rec.partial != nullptr && ready)
+    v.settled = settled;
+    const bool ready = !rec.analysis_ready ||
+                       rec.analysis_ready->load(std::memory_order_acquire);
+    if (d == Disposition::kKept && rec.udp() && rec.partial != nullptr && ready)
       v.partial = rec.partial.get();
     ep.verdicts.push_back(std::move(v));
+    emitted.push_back(slot);
   }
   ep.flows = table_.stats();
   sink_(ep);
+  if (final_pass) return;  // finish() accounts every held record itself
+
+  // The sink is done with the partials: fold the settled flows into the
+  // running aggregate and free their records.
+  for (std::size_t i = 0; i < emitted.size(); ++i) {
+    const FlowVerdict& v = ep.verdicts[i];
+    if (!v.settled) continue;
+    FlowRecord& rec = records[emitted[i]];
+    account(folded_, rec, v.disposition);
+    if (v.disposition == Disposition::kKept && rec.partial != nullptr)
+      rtcc::report::merge(folded_, *rec.partial);
+    table_.release(emitted[i]);
+  }
 }
 
 CallAnalysis StreamingAnalyzer::finish(std::vector<CallAnalysis>* per_stream) {
@@ -394,41 +461,25 @@ CallAnalysis StreamingAnalyzer::finish(std::vector<CallAnalysis>* per_stream) {
   });
 
   auto& records = table_.records();
-  const std::size_t n = records.size();
-  const auto disp = compute_dispositions();
+  const std::vector<std::size_t> held = table_.held_slots();
 
-  // ---- Table 1 accounting, in stream-table order ----
+  // ---- Table 1 accounting of the held records, in stream-table order;
+  // folded records were accounted when they settled ----
   CallAnalysis out;
   out.raw_bytes = raw_bytes_;
   out.ingest = capture_;
   out.ingest.merge(decoder_.stats());
-
   std::vector<std::size_t> kept_udp;
-  for (std::size_t i = 0; i < n; ++i) {
-    const FlowRecord& rec = records[i];
-    const bool udp = rec.udp();
-    if (udp) {
-      ++out.raw_udp_streams;
-      out.raw_udp_datagrams += rec.packet_count;
-    } else {
-      ++out.raw_tcp_streams;
-      out.raw_tcp_segments += rec.packet_count;
-    }
-
-    const bool removed1 = disp[i] == rtcc::filter::Disposition::kStage1Timespan;
-    const bool removed2 = rtcc::filter::is_stage2(disp[i]);
-    auto& stage = removed1 ? (udp ? out.stage1_udp : out.stage1_tcp)
-                 : removed2 ? (udp ? out.stage2_udp : out.stage2_tcp)
-                            : (udp ? out.rtc_udp : out.rtc_tcp);
-    ++stage.streams;
-    stage.packets += rec.packet_count;
-    if (disp[i] == rtcc::filter::Disposition::kKept && udp)
-      kept_udp.push_back(i);
+  for (const std::size_t slot : held) {
+    const FlowRecord& rec = records[slot];
+    const Disposition d = disposition_of(rec);
+    account(out, rec, d);
+    if (d == Disposition::kKept && rec.udp()) kept_udp.push_back(slot);
   }
 
   // ---- Finalize kept flows not already analyzed at eviction ----
-  for (std::size_t i : kept_udp) {
-    FlowRecord& rec = records[i];
+  for (const std::size_t slot : kept_udp) {
+    FlowRecord& rec = records[slot];
     if (rec.partial) continue;  // speculatively analyzed at eviction
     auto payload = std::move(rec.payload);
     live_flow_bytes_ -= payload->footprint();
@@ -441,20 +492,22 @@ CallAnalysis StreamingAnalyzer::finish(std::vector<CallAnalysis>* per_stream) {
   // unemitted and amendments for any provisional verdict the complete
   // evidence overturned. Runs before the partials move out below so
   // kept verdicts can still point at their analyses. ----
-  emit_epoch(/*final_pass=*/true, &disp);
+  emit_epoch(/*final_pass=*/true, held);
 
-  // ---- Merge in stream-table order (merge() is order-insensitive,
-  // pinned by the merge-order oracle, so this matches the batch path's
-  // stream- and shard-order merges byte for byte) ----
-  std::vector<CallAnalysis> partials;
-  partials.reserve(kept_udp.size());
-  for (std::size_t i : kept_udp) {
-    rtcc::report::merge(out, *records[i].partial);
-    partials.push_back(std::move(*records[i].partial));
-    records[i].partial.reset();
+  // ---- Merge (merge() is order-insensitive, pinned by the merge-order
+  // oracle, so the folded aggregate plus the held partials match the
+  // batch path's stream- and shard-order merges byte for byte) ----
+  rtcc::report::merge(out, folded_);
+  if (per_stream != nullptr) {
+    per_stream->clear();
+    per_stream->reserve(kept_udp.size());
+  }
+  for (const std::size_t slot : kept_udp) {
+    CallAnalysis& part = *records[slot].partial;
+    rtcc::report::merge(out, part);
+    if (per_stream != nullptr) per_stream->push_back(std::move(part));
   }
   out.flows = table_.stats();
-  if (per_stream != nullptr) *per_stream = std::move(partials);
   return out;
 }
 

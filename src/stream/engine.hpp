@@ -11,10 +11,12 @@
 //     can no longer hold) or a statically excluded port (stage 2d).
 //     Condemned flows drop their payload buffers immediately; only
 //     lightweight metadata is retained. Every other disposition (3-tuple
-//     timing, SNI, local-IP + precall) needs cross-flow evidence that
-//     is only complete at end of capture, so finish() recomputes all
-//     dispositions from retained metadata with the batch filter's exact
-//     semantics.
+//     timing, SNI, local-IP + precall) needs cross-flow evidence, kept
+//     as two insert-only witness sets (outside 3-tuples, pre-call IP
+//     pairs) filled at the frame that puts a flow's span outside the
+//     window. A new witness re-checks exactly the emitted flows it can
+//     amend, so epoch close visits only the flows retired, amended or
+//     finalized in that epoch.
 //
 //   * per-flow incremental state machine — surviving UDP flows buffer
 //     payload copies until the flow is finalized (eviction or drain),
@@ -33,6 +35,13 @@
 //     at every knob combination ("flows" diagnostics aside); bounded
 //     budgets trade exactness for memory, accounted in flows_rekeyed.
 //
+//   * record life cycle — live -> retired -> emitted -> settled ->
+//     folded and freed. Once a verdict is emitted and no later evidence
+//     can change it (FlowVerdict::settled), the record's Table 1 counts
+//     and kept partial fold into one running aggregate and its slot is
+//     released, so a long-running engine holds the live flows plus the
+//     unsettled verdicts, not every flow it ever saw.
+//
 // Feed it from the chunked pcap reader (stream/chunk_reader.hpp) or
 // push frames of an in-memory Trace (analyze_trace_streaming — the
 // RTCC_STREAM=1 body of report::analyze_trace).
@@ -43,6 +52,9 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "dpi/scanning_dpi.hpp"
@@ -71,6 +83,15 @@ namespace rtcc::stream {
 /// and amendments for any earlier verdict the complete evidence
 /// overturned, all marked final_pass.
 ///
+/// A verdict is *settled* when no later evidence can change it: its
+/// disposition is stage 1 (the span froze at retirement) or 2a (checked
+/// first among the stage-2 rules, and witnesses only grow), or the
+/// call window encloses every timestamp a pcap record can carry, so
+/// neither witness set can ever gain a member (keep_all_filter_config).
+/// Every final_pass verdict is settled. After the sink returns, the
+/// engine folds a settled flow into its running aggregate and frees it;
+/// unsettled flows stay held and may still be amended.
+///
 /// Conservation identities a sink can check: every ordinal is emitted
 /// exactly once with amends = false across the whole run, and the sum
 /// of EpochReport::frames equals the total frames pushed.
@@ -83,6 +104,7 @@ struct FlowVerdict {
   rtcc::filter::Disposition disposition = rtcc::filter::Disposition::kKept;
   bool final_pass = false;  // emitted by finish(): evidence is complete
   bool amends = false;      // revises this ordinal's earlier verdict
+  bool settled = false;     // no later epoch can amend this verdict
   /// Per-stream compliance analysis for kept UDP flows; null for
   /// removed/TCP flows. Valid only for the duration of the sink call.
   const rtcc::report::CallAnalysis* partial = nullptr;
@@ -133,13 +155,17 @@ class StreamingAnalyzer {
   void push_frame(rtcc::util::BytesView wire, double ts,
                   std::uint32_t orig_len = 0);
 
-  /// Ends the capture: drains the flow table, computes every stream
-  /// disposition with the batch filter's exact semantics, finalizes
-  /// kept flows, and returns the merged analysis (byte-identical to
-  /// the batch path when no flow was split; `flows` carries the
-  /// streaming diagnostics either way). When `per_stream` is non-null
-  /// it receives the kept per-stream partials in stream-table order,
-  /// matching analyze_trace's out-param. Call at most once.
+  /// Ends the capture: drains the flow table, computes the disposition
+  /// of every held record with the batch filter's exact semantics,
+  /// finalizes kept flows, and returns the running aggregate of folded
+  /// flows merged with the held ones (byte-identical to the batch path
+  /// when no flow was split; `flows` carries the streaming diagnostics
+  /// either way). When `per_stream` is non-null it receives the kept
+  /// per-stream partials of the records still held, in stream-table
+  /// order. Whenever nothing settled mid-run — no sink, or a scheduled
+  /// call window — that is every kept partial, matching analyze_trace's
+  /// out-param; with a sink and a settling config (keep-all) it holds
+  /// only the flows not yet folded. Call at most once.
   [[nodiscard]] rtcc::report::CallAnalysis finish(
       std::vector<rtcc::report::CallAnalysis>* per_stream = nullptr);
 
@@ -179,12 +205,31 @@ class StreamingAnalyzer {
     return table_.live_count();
   }
 
+  /// Flow records currently held: live flows plus retired flows whose
+  /// verdict is not yet emitted or not yet settled. Bounded by the
+  /// flow budget plus one epoch's verdicts under a settling config.
+  [[nodiscard]] std::size_t held_records() const {
+    return table_.held_count();
+  }
+
   /// Capture + decode ledger combined, readable mid-run (the /metrics
   /// ingest totals). finish() reports the same totals in the merged
   /// analysis' `ingest`.
   [[nodiscard]] rtcc::net::IngestStats ingest_totals() const;
 
  private:
+  using IpPair = std::pair<rtcc::net::IpAddr, rtcc::net::IpAddr>;
+  struct IpPairHash {
+    std::size_t operator()(const IpPair& p) const noexcept;
+  };
+  /// An emitted, unsettled record a witness may amend. The ordinal
+  /// tells a stale entry (its record since settled and its slot
+  /// reused) from a live one.
+  struct Ref {
+    std::size_t slot;
+    std::uint64_t ordinal;
+  };
+
   void on_evict(FlowRecord& rec, EvictReason reason);
   void condemn(FlowRecord& rec);
   /// Builds the whole-flow batch from `payload`, books the decode-node
@@ -192,15 +237,33 @@ class StreamingAnalyzer {
   /// (or submits) the batch analysis core into rec.partial.
   void analyze_record(FlowRecord& rec, std::shared_ptr<FlowPayload> payload);
   void update_peak();
-  /// Per-record dispositions under the evidence accumulated so far —
-  /// the batch filter's exact stage semantics over retained metadata.
-  /// At finish() (all flows retired) this is the batch pipeline's
-  /// disposition vector.
-  [[nodiscard]] std::vector<rtcc::filter::Disposition> compute_dispositions()
-      const;
+  [[nodiscard]] bool is_device(const rtcc::net::IpAddr& ip) const;
+  /// Records the frame's stage-2 evidence: the first frame that puts
+  /// the span outside the window adds the flow's outside 3-tuples, the
+  /// first that puts first_ts before it adds the pre-call IP pair.
+  void note_witnesses(FlowRecord& rec);
+  /// Queues for re-check every emitted, unsettled record in a bucket
+  /// whose witness just arrived, then drops the bucket (a witness
+  /// arrives once).
+  template <typename Map, typename Key>
+  void fire_bucket(Map& buckets, const Key& key);
+  /// Indexes a newly emitted, unsettled record under the witnesses
+  /// that could still amend it.
+  void index_unsettled(const FlowRecord& rec);
+  /// The record's disposition under the evidence accumulated so far —
+  /// the batch filter's exact stage semantics (2a -> 2b -> 2c -> 2d)
+  /// over retained metadata. At finish() this is the batch pipeline's.
+  [[nodiscard]] rtcc::filter::Disposition disposition_of(
+      const FlowRecord& rec) const;
+  [[nodiscard]] bool settles(rtcc::filter::Disposition d) const;
   /// Emits one epoch through the sink and resets the window counters.
-  void emit_epoch(bool final_pass,
-                  const std::vector<rtcc::filter::Disposition>* precomputed);
+  /// `slots` lists the records with something to say (first verdict or
+  /// a possible amendment), in ordinal order. Outside the final pass,
+  /// settled records fold and free once the sink returns.
+  void emit_epoch(bool final_pass, const std::vector<std::size_t>& slots);
+  /// This epoch's worklist: retired records ready for a first verdict
+  /// plus the records a new witness queued, in ordinal order.
+  [[nodiscard]] std::vector<std::size_t> take_worklist();
 
   rtcc::filter::FilterConfig fcfg_;
   rtcc::report::AnalysisOptions opts_;
@@ -219,6 +282,19 @@ class StreamingAnalyzer {
   std::unique_ptr<rtcc::report::ShardedPipeline> pipe_;
   bool finished_ = false;
 
+  // ---- Stage-2 evidence: insert-only witness sets, and the emitted
+  // unsettled records each not-yet-seen witness would amend. ----
+  bool settle_all_ = false;  // the window encloses every pcap timestamp
+  std::unordered_set<rtcc::filter::ThreeTuple, rtcc::filter::ThreeTupleHash>
+      outside_tuples_;
+  std::unordered_set<IpPair, IpPairHash> precall_pairs_;
+  std::unordered_map<rtcc::filter::ThreeTuple, std::vector<Ref>,
+                     rtcc::filter::ThreeTupleHash>
+      by_tuple_;
+  std::unordered_map<IpPair, std::vector<Ref>, IpPairHash> by_pair_;
+  /// Settled, released records: Table 1 counts plus kept partials.
+  rtcc::report::CallAnalysis folded_;
+
   // ---- Epoch/window state (set_epoch) ----
   double epoch_s_ = 0.0;  // <= 0 or inf: no automatic boundaries
   EpochSink sink_;
@@ -227,11 +303,8 @@ class StreamingAnalyzer {
   double epoch_anchor_ = 0.0;   // high-water clock when the epoch opened
   std::uint64_t epoch_frames_ = 0;
   std::uint64_t epoch_bytes_ = 0;
-  struct EmitState {
-    bool emitted = false;
-    rtcc::filter::Disposition disposition = rtcc::filter::Disposition::kKept;
-  };
-  std::vector<EmitState> emitted_;  // indexed by record ordinal
+  std::vector<std::size_t> pending_;  // retired, first verdict not out yet
+  std::vector<std::size_t> amend_;    // emitted, a new witness hit them
 };
 
 /// The RTCC_STREAM=1 body of report::analyze_trace: pushes every frame

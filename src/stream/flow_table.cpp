@@ -1,5 +1,7 @@
 #include "stream/flow_table.hpp"
 
+#include <algorithm>
+
 namespace rtcc::stream {
 
 namespace {
@@ -14,10 +16,10 @@ FlowTable::Touched FlowTable::touch(const rtcc::net::FlowKey& key,
   // invariant expire_idle pops by) or a negative idle delta.
   if (clock > max_clock_) max_clock_ = clock;
   clock = max_clock_;
-  auto [it, inserted] = index_.try_emplace(key, records_.size());
+  auto [it, inserted] = index_.try_emplace(key, kNil);
   if (!inserted) {
-    FlowRecord& existing = records_[it->second];
-    if (!existing.retired) {
+    if (it->second != kNil && !records_[it->second].retired) {
+      FlowRecord& existing = records_[it->second];
       existing.last_active = clock;
       // Move to LRU back (most recently touched).
       unlink(it->second);
@@ -25,20 +27,49 @@ FlowTable::Touched FlowTable::touch(const rtcc::net::FlowKey& key,
       return {existing, false};
     }
     // Split: the key was evicted mid-capture and came back. The frozen
-    // record keeps its place in the log; a fresh record takes the key.
+    // record (if still held) keeps its ordinal; a fresh record takes
+    // the key.
     ++stats_.flows_rekeyed;
-    it->second = records_.size();
   }
-  records_.emplace_back();
-  FlowRecord& rec = records_.back();
+  std::size_t slot = records_.size();
+  if (free_.empty()) {
+    records_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  it->second = slot;
+  FlowRecord& rec = records_[slot];
   rec.key = key;
-  rec.ordinal = records_.size() - 1;
+  rec.ordinal = next_ordinal_++;
+  rec.slot = slot;
   rec.last_active = clock;
-  link_back(rec.ordinal);
+  link_back(slot);
   ++live_count_;
   ++stats_.flows_seen;
   if (live_count_ > stats_.flows_live) stats_.flows_live = live_count_;
   return {rec, true};
+}
+
+void FlowTable::release(std::size_t slot) {
+  FlowRecord& rec = records_[slot];
+  const auto it = index_.find(rec.key);
+  if (it != index_.end() && it->second == slot) it->second = kNil;
+  rec = FlowRecord{};
+  free_.push_back(slot);
+}
+
+std::vector<std::size_t> FlowTable::held_slots() const {
+  std::vector<bool> released(records_.size(), false);
+  for (const std::size_t slot : free_) released[slot] = true;
+  std::vector<std::size_t> out;
+  out.reserve(held_count());
+  for (std::size_t slot = 0; slot < records_.size(); ++slot)
+    if (!released[slot]) out.push_back(slot);
+  std::sort(out.begin(), out.end(), [this](std::size_t x, std::size_t y) {
+    return records_[x].ordinal < records_[y].ordinal;
+  });
+  return out;
 }
 
 void FlowTable::expire_idle(double clock, const EvictFn& fn) {

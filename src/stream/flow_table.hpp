@@ -8,15 +8,25 @@
 // the last touch) and an LRU capacity cap. Retiring a flow hands it to
 // the engine's eviction callback, which finalizes it (runs the batch
 // analysis core over its buffered payloads) and releases the heavy
-// state; the lightweight metadata (key, span, counts, SNI) is retained
-// for the whole capture because the two-stage filter's dispositions
-// need cross-flow evidence that is only complete at finish().
+// state.
+//
+// A retired record's lightweight metadata (key, span, counts, SNI)
+// stays held while the two-stage filter may still need it: until its
+// verdict has been emitted and no later cross-flow evidence can change
+// it. The engine then folds the record into its running aggregate and
+// release()s it; the slot goes on a free list and the next new flow
+// reuses it. Slot order is therefore not creation order once anything
+// was released — `ordinal` (the creation counter) is the stream-table
+// order the batch path would have produced.
 //
 // A packet arriving for an already-retired key re-opens the flow as a
 // *new* record (a split): the ledger counts it in flows_rekeyed, and
 // the parity oracle downgrades from byte-identity to conservation
-// identities when any split occurred. With the default unbounded
-// budgets no split is possible and streaming == batch exactly.
+// identities when any split occurred. The key index keeps one small
+// entry per key ever seen — also for released records — so that count
+// stays exact; it is the only structure that grows with flows seen.
+// With the default unbounded budgets no split is possible and
+// streaming == batch exactly.
 #pragma once
 
 #include <atomic>
@@ -30,6 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "filter/pipeline.hpp"
 #include "net/stream_table.hpp"
 #include "report/metrics.hpp"
 
@@ -74,8 +85,16 @@ struct FlowRecord {
   double last_ts = 0.0;       // max packet ts
   double last_active = 0.0;   // monotonic clock at last touch (idle expiry)
   std::uint64_t packet_count = 0;
+  std::size_t slot = 0;    // this record's index in the table's slots
   bool condemned = false;  // online keep/drop verdict: can never be kept
   bool retired = false;    // left the live set (evicted or drained)
+  bool outside = false;    // span left the call window: stage 1 fails
+  bool precall = false;    // first_ts precedes the call window
+  // Emission state (engine epochs): whether a verdict went out, and
+  // with which disposition.
+  bool emitted = false;
+  rtcc::filter::Disposition emitted_disposition =
+      rtcc::filter::Disposition::kKept;
   std::uint8_t sni_probed = 0;      // TCP packets probed for a ClientHello
   std::optional<std::string> sni;   // first SNI seen in the probe window
   std::shared_ptr<FlowPayload> payload;  // null once condemned/finalized
@@ -86,7 +105,7 @@ struct FlowRecord {
   /// as it exists.
   std::shared_ptr<std::atomic<bool>> analysis_ready;
 
-  // Intrusive LRU links: indices into FlowTable's record deque.
+  // Intrusive LRU links: slot indices into FlowTable's record deque.
   std::size_t lru_prev = kNil;
   std::size_t lru_next = kNil;
 
@@ -95,10 +114,10 @@ struct FlowRecord {
   }
 };
 
-/// Live-flow index + retained record log. Records never move (deque)
-/// and are never discarded — ordinal order is the stream-table order
-/// the batch path would have produced, which the engine's finish()
-/// replays for disposition accounting and partial merging.
+/// Live-flow index + held-record slots. Records never move (deque);
+/// released slots are reused through a free list. Ordinal order is the
+/// stream-table order the batch path would have produced, which the
+/// engine's finish() replays over the records still held.
 class FlowTable {
  public:
   struct Budgets {
@@ -118,9 +137,9 @@ class FlowTable {
   };
 
   /// Looks up the live record for `key`, creating one if the key is
-  /// unknown — or known but retired, which is a split: the old record
-  /// stays frozen in the log, a fresh record takes over the key, and
-  /// flows_rekeyed is incremented. `clock` stamps last_active; the
+  /// unknown — or known but retired (or released), which is a split:
+  /// the old record stays frozen, a fresh record takes over the key,
+  /// and flows_rekeyed is incremented. `clock` stamps last_active; the
   /// table keeps its own monotonic high-water clock, so a backwards
   /// capture timestamp (reordered pcap, clock step on the capture
   /// host) can never reorder the LRU list relative to last_active or
@@ -144,7 +163,20 @@ class FlowTable {
   /// Retires every remaining live flow (end of capture, oldest first).
   void drain(const EvictFn& fn);
 
+  /// Frees a retired record's slot for reuse (the record must be
+  /// retired: live records sit on the LRU list). The key stays known,
+  /// so the key coming back still counts as a split.
+  void release(std::size_t slot);
+
   [[nodiscard]] std::size_t live_count() const { return live_count_; }
+  /// Records not yet released: live plus retired-but-held.
+  [[nodiscard]] std::size_t held_count() const {
+    return records_.size() - free_.size();
+  }
+  /// Slots of the held records, in ordinal order.
+  [[nodiscard]] std::vector<std::size_t> held_slots() const;
+  /// Slot storage, indexed by FlowRecord::slot. Released slots hold a
+  /// default record until reused.
   [[nodiscard]] const std::deque<FlowRecord>& records() const {
     return records_;
   }
@@ -160,6 +192,9 @@ class FlowTable {
 
   Budgets budgets_;
   std::deque<FlowRecord> records_;
+  std::vector<std::size_t> free_;  // released slots, reused LIFO
+  std::uint64_t next_ordinal_ = 0;
+  // key -> slot of its newest record; kNil once that record is released.
   std::unordered_map<rtcc::net::FlowKey, std::size_t, rtcc::net::FlowKeyHash>
       index_;
   std::size_t lru_head_ = FlowRecord::kNil;

@@ -11,14 +11,19 @@
 //     ledger) and /healthz flips 200 -> 503 on drain;
 //   * SIGTERM through the real handler drains with exit code 0;
 //   * socket ingest feeds the same engine (one connection = one pcap);
+//   * a JSONL reader that goes away costs counted write errors, not the
+//     daemon (SIGPIPE ignored, ingest carries on, clean drain);
 //   * the exporter outlasts a silent scraper and one that hangs up
 //     mid-response;
 //   * RTCC_SERVICE_EPOCH knob parses strictly with fallback.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -370,6 +375,69 @@ TEST(Service, OneshotOnEmptyFolderDrainsImmediately) {
   const auto jsonl = read_jsonl(opts.jsonl_path);
   EXPECT_EQ(jsonl.epoch_lines, 1u);  // the final pass always closes
   EXPECT_TRUE(jsonl.saw_final_epoch);
+  fs::remove_all(dir);
+}
+
+// A JSONL consumer that goes away must not take the daemon with it:
+// the FIFO reader below reads one line and closes, every later write
+// fails with EPIPE, and the daemon — with the same signal setup rtccd
+// installs — still ingests the drop file and drains with exit 0,
+// counting the failed writes. Without SIGPIPE ignored the child dies
+// with signal 13 (shell exit 141). Runs the daemon in a forked child so
+// the signal disposition cannot leak into the rest of the suite.
+TEST(Service, VerdictReaderThatGoesAwayCostsWriteErrorsNotTheDaemon) {
+  const auto call = fixture_call();
+  const std::string dir = make_temp_dir();
+  ASSERT_FALSE(dir.empty());
+  std::string err;
+  ASSERT_TRUE(net::write_pcap(dir + "/capture.pcap", call.trace, &err)) << err;
+  const std::string fifo = dir + "/verdicts.fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  int result[2];
+  ASSERT_EQ(::pipe(result), 0);
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << std::strerror(errno);
+  if (child == 0) {
+    ::close(result[0]);
+    service::DaemonOptions opts;
+    opts.watch_dir = dir;
+    opts.jsonl_path = fifo;  // blocks until the parent opens the reader
+    opts.enable_metrics = false;
+    opts.oneshot = true;
+    opts.epoch_s = 0.1;  // ~1500 epoch lines: far more than a pipe buffer
+    opts.poll_ms = 5;
+    opts.fcfg = emul::group_filter_config(call);
+    service::Daemon daemon(opts);
+    service::Daemon::install_signal_handlers(&daemon);
+    if (!daemon.start()) ::_exit(2);
+    const int code = daemon.run();
+    const double errors =
+        daemon.metrics().get("rtcc_service_jsonl_write_errors");
+    (void)!::write(result[1], &errors, sizeof errors);
+    ::_exit(code);
+  }
+  ::close(result[1]);
+
+  const int reader = ::open(fifo.c_str(), O_RDONLY);
+  ASSERT_GE(reader, 0) << std::strerror(errno);
+  char line[256];
+  EXPECT_GT(::read(reader, line, sizeof line), 0);
+  ::close(reader);  // the consumer goes away mid-run
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_FALSE(WIFSIGNALED(status))
+      << "rtccd killed by signal " << WTERMSIG(status);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  double errors = 0;
+  EXPECT_EQ(::read(result[0], &errors, sizeof errors),
+            static_cast<ssize_t>(sizeof errors));
+  ::close(result[0]);
+  EXPECT_GT(errors, 0.0);
+  // Ingest carried on past the failed writes.
+  EXPECT_TRUE(fs::exists(dir + "/capture.pcap.done"));
   fs::remove_all(dir);
 }
 
