@@ -39,6 +39,8 @@ struct NodeCounters {
   [[nodiscard]] bool any() const {
     return vectors != 0 || packets != 0 || suspended != 0;
   }
+
+  bool operator==(const NodeCounters&) const = default;
 };
 
 struct PipelineCounters {
@@ -60,6 +62,8 @@ struct PipelineCounters {
     return decode.any() || demux.any() || prefilter.any() || scan.any() ||
            compliance.any();
   }
+
+  bool operator==(const PipelineCounters&) const = default;
 };
 
 }  // namespace rtcc::dpi

@@ -5,6 +5,7 @@
 
 #include "dpi/anchor_scan.hpp"
 #include "proto/stun/stun_registry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rtcc::dpi {
 
@@ -44,8 +45,8 @@ namespace quic = rtcc::proto::quic;
 /// RTP's header pattern matches ~25% of random offsets, so on a relay
 /// media stream this array is by far the scan's largest data structure
 /// — it is kept to 20 bytes by folding the per-protocol sniff details
-/// (STUN txid, RTCP PT, RTP seq) into the support tables at emission
-/// time instead of carrying them per candidate.
+/// (RTP seq) into the support tables at emission time instead of
+/// carrying them per candidate.
 struct Candidate {
   static constexpr std::uint8_t kValidated = 0x01;
   static constexpr std::uint8_t kQuicLong = 0x02;
@@ -62,44 +63,34 @@ struct Candidate {
   [[nodiscard]] bool quic_long() const { return flags & kQuicLong; }
 };
 
-struct TxidHash {
-  std::size_t operator()(const stun::TransactionId& id) const {
-    std::uint64_t h = 14695981039346656037ULL;  // FNV-1a
-    for (const std::uint8_t b : id) {
-      h ^= b;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 /// Everything the extraction nodes append to: the candidate list plus
-/// the stream-level support tables (Algorithm 1's validation inputs).
-/// The tables are filled *at emission* — the old separate walk over the
-/// candidate array to build them re-read tens of MB per relay stream.
-/// The RTP table is the big one — the scan yields one noise candidate
-/// per ~25% of offsets with mostly-unique fake SSRCs — and is kept
-/// flat: (ssrc, seq) packed into one u64, sorted once, then walked
+/// the support tables (Algorithm 1's validation inputs), one state per
+/// chunk. The tables are filled *at emission* — the old separate walk
+/// over the candidate array to build them re-read tens of MB per relay
+/// stream. The RTP table is the big one — the scan yields one noise
+/// candidate per ~25% of offsets with mostly-unique fake SSRCs — and is
+/// kept flat: (ssrc, seq) packed into one u64, sorted once, then walked
 /// group-by-group. A map of per-SSRC vectors here costs an allocation
 /// per noise SSRC and dominates validation time. The small tables
-/// (STUN txids, channels, RTCP SSRCs) stay hashed.
+/// (channels, RTCP SSRCs) stay hashed; they hold counts only, so the
+/// stream's tables are the sums of its chunks'.
 struct ScanState {
   std::vector<Candidate> candidates;
   std::vector<std::uint64_t> rtp_pairs;  // ssrc << 16 | seq
-  std::unordered_map<stun::TransactionId, int, TxidHash> stun_txids;
   std::unordered_map<std::uint16_t, int> channel_support;
   std::unordered_map<std::uint32_t, int> rtcp_ssrc_support;
   int quic_long_support = 0;
+  PipelineCounters nodes;  // this chunk's demux / prefilter / scan tallies
 
   /// Ready the state for a fresh analyze_batch call while keeping the
   /// vectors' capacity and the hash tables' buckets warm.
   void reset() {
     candidates.clear();
     rtp_pairs.clear();
-    stun_txids.clear();
     channel_support.clear();
     rtcp_ssrc_support.clear();
     quic_long_support = 0;
+    nodes = {};
   }
 };
 
@@ -244,7 +235,6 @@ RTCC_ALWAYS_INLINE void emit_stun(BytesView at, std::uint32_t di, std::uint32_t 
     c.datagram = di;
     c.offset = off;
     c.length = static_cast<std::uint32_t>(parsed->consumed);
-    ++st.stun_txids[parsed->message.transaction_id];
   }
 }
 
@@ -367,171 +357,164 @@ void extract_naive(BytesView payload, std::uint32_t di,
   }
 }
 
-/// Per-chunk scratch for the node graph, reused across chunks (and,
+
+/// Scanned offsets per candidate the buffers are sized for. Relay media
+/// yields one candidate per 9-17 scanned offsets (nearly all of them
+/// RTP header look-alikes); a denser stream grows its buffers as usual.
+constexpr std::size_t kOffsetsPerCandidate = 8;
+
+/// Per-vector scratch for the node graph, reused across vectors (and,
 /// being thread_local at the call site, across calls) so the
 /// steady-state inner loops are allocation-free.
 struct BatchScratch {
   std::vector<std::uint32_t> scannable;   // demux output: packet indices
-  std::vector<AnchorMasks> masks;         // prefilter output, whole chunk
+  std::vector<AnchorMasks> masks;         // prefilter output, whole vector
   std::vector<std::uint32_t> mask_begin;  // per scannable packet, +1 end
 };
 
-}  // namespace
-
-ScanningDpi::ScanningDpi(ScanOptions options) : options_(options) {}
-
-std::vector<DatagramAnalysis> ScanningDpi::analyze_stream(
-    const std::vector<StreamDatagram>& datagrams) const {
-  rtcc::net::PacketBatch batch;
-  batch.reserve(datagrams.size());
-  for (const auto& d : datagrams) batch.push(d.payload, d.ts, d.dir);
-  return analyze_batch(batch);
-}
-
-std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
-    const rtcc::net::PacketBatch& packets, PipelineCounters* counters) const {
+/// Phase 1, one chunk: candidate extraction (Algorithm 1, lines 5-13)
+/// over datagrams [begin, end) into `st`, which starts empty. Emission
+/// depends only on the datagram, so a chunk emits exactly the slice of
+/// the whole-stream candidate list and pair sequence that covers its
+/// datagrams, and its support tables hold that slice's counts.
+void extract_chunk(const rtcc::net::PacketBatch& packets, std::size_t begin,
+                   std::size_t end, const ScanOptions& opts, ScanState& st,
+                   PipelineCounters* counters) {
   namespace net = rtcc::net;
-  const std::size_t n_packets = packets.size();
-  // Extraction state is thread_local: the candidate and pair buffers
-  // reach a few MB on relay media streams, and re-growing (and
-  // re-faulting) them every call costs more than the scan of a small
-  // stream. Reset keeps capacity and hash-table buckets warm.
-  static thread_local ScanState scan_state;
-  ScanState& st = scan_state;
-  st.reset();
-  if (st.candidates.capacity() < n_packets * 2)
-    st.candidates.reserve(n_packets * 2);
-  if (st.rtp_pairs.capacity() < n_packets * 2)
-    st.rtp_pairs.reserve(n_packets * 2);
-
-  // ---- Step 1: candidate extraction (Algorithm 1, lines 5-13) ----
-  constexpr std::size_t bsz = net::kBatchSize;
-  if (!options_.use_anchor_prefilter) {
+  if (!opts.use_anchor_prefilter) {
     // Oracle path: every protocol sniff at every offset 0..k.
-    for (std::size_t di = 0; di < n_packets; ++di)
-      extract_naive(packets.payload(di), static_cast<std::uint32_t>(di),
-                    options_, st);
-  } else {
-    // Node graph: demux → prefilter → scan, one fixed-size vector at a
-    // time. Each node runs its loop over the whole chunk before the
-    // next starts, so its code, tables and branch history stay hot for
-    // bsz packets instead of being evicted every datagram.
-    static thread_local BatchScratch batch_scratch;
-    BatchScratch& scratch = batch_scratch;
-    scratch.scannable.reserve(bsz);
-    scratch.mask_begin.reserve(bsz + 1);
-    const AnchorBlockFn kernel = anchor_block_fn();
-    for (std::size_t base = 0; base < n_packets; base += bsz) {
-      const std::size_t end = std::min(n_packets, base + bsz);
+    for (std::size_t di = begin; di < end; ++di)
+      extract_naive(packets.payload(di), static_cast<std::uint32_t>(di), opts,
+                    st);
+    return;
+  }
+  // Node graph: demux → prefilter → scan, one fixed-size vector at a
+  // time. Each node runs its loop over the whole vector before the
+  // next starts, so its code, tables and branch history stay hot for
+  // bsz packets instead of being evicted every datagram.
+  constexpr std::size_t bsz = net::kBatchSize;
+  static thread_local BatchScratch batch_scratch;
+  BatchScratch& scratch = batch_scratch;
+  scratch.scannable.reserve(bsz);
+  scratch.mask_begin.reserve(bsz + 1);
+  const AnchorBlockFn kernel = anchor_block_fn();
+  for (std::size_t base = begin; base < end; base += bsz) {
+    const std::size_t stop = std::min(end, base + bsz);
 
-      // Demux node: drop empty payloads (nothing to scan), prefetch
-      // upcoming payload heads. Unrolled loop: kDemuxUnroll descriptors
-      // per iteration keeps the loads' latencies overlapped. The width
-      // is a compile-time ablation knob (-DRTCC_DEMUX_UNROLL=2|4, see
-      // EXPERIMENTS.md); the emitted descriptor order is identical at
-      // every width, so analyses stay byte-identical across the sweep.
-      scratch.scannable.clear();
-      std::size_t di = base;
-      for (; di + kDemuxUnroll <= end; di += kDemuxUnroll) {
-        for (std::size_t u = 0; u < kDemuxUnroll; ++u)
-          if (di + u + net::kPrefetchAhead < end)
-            net::prefetch(packets.data[di + u + net::kPrefetchAhead]);
-        for (std::size_t u = 0; u < kDemuxUnroll; ++u)
-          if (packets.len[di + u] != 0)
-            scratch.scannable.push_back(static_cast<std::uint32_t>(di + u));
-      }
-      for (; di < end; ++di)
-        if (packets.len[di] != 0)
-          scratch.scannable.push_back(static_cast<std::uint32_t>(di));
-      if (counters != nullptr) {
-        ++counters->demux.vectors;
-        counters->demux.packets += end - base;
-        counters->demux.suspended += (end - base) - scratch.scannable.size();
-      }
+    // Demux node: drop empty payloads (nothing to scan), prefetch
+    // upcoming payload heads. Unrolled loop: kDemuxUnroll descriptors
+    // per iteration keeps the loads' latencies overlapped. The width
+    // is a compile-time ablation knob (-DRTCC_DEMUX_UNROLL=2|4, see
+    // EXPERIMENTS.md); the emitted descriptor order is identical at
+    // every width, so analyses stay byte-identical across the sweep.
+    scratch.scannable.clear();
+    std::size_t di = base;
+    for (; di + kDemuxUnroll <= stop; di += kDemuxUnroll) {
+      for (std::size_t u = 0; u < kDemuxUnroll; ++u)
+        if (di + u + net::kPrefetchAhead < stop)
+          net::prefetch(packets.data[di + u + net::kPrefetchAhead]);
+      for (std::size_t u = 0; u < kDemuxUnroll; ++u)
+        if (packets.len[di + u] != 0)
+          scratch.scannable.push_back(static_cast<std::uint32_t>(di + u));
+    }
+    for (; di < stop; ++di)
+      if (packets.len[di] != 0)
+        scratch.scannable.push_back(static_cast<std::uint32_t>(di));
+    if (counters != nullptr) {
+      ++counters->demux.vectors;
+      counters->demux.packets += stop - base;
+      counters->demux.suspended += (stop - base) - scratch.scannable.size();
+    }
 
-      // Prefilter node: the pure SIMD pass. One kernel call per payload
-      // writes the per-family hot-lane masks for its whole scan region
-      // into the chunk's mask buffer (32 bytes per 64 offsets — far
-      // less traffic than an expanded hit list at media-payload hit
-      // rates, and L1-resident at the default batch size). At the
-      // scalar level there is no kernel and the node is a pass-through;
-      // the scan node then runs the fused per-offset loop itself.
-      scratch.masks.clear();
-      scratch.mask_begin.clear();
-      if (kernel != nullptr) {
-        for (std::size_t si = 0; si < scratch.scannable.size(); ++si) {
-          if (si + net::kPrefetchAhead < scratch.scannable.size())
-            net::prefetch(
-                packets.data[scratch.scannable[si + net::kPrefetchAhead]]);
-          scratch.mask_begin.push_back(
-              static_cast<std::uint32_t>(scratch.masks.size()));
-          stage_anchor_masks(packets.payload(scratch.scannable[si]), options_,
-                             kernel, scratch.masks);
-        }
+    // Prefilter node: the pure SIMD pass. One kernel call per payload
+    // writes the per-family hot-lane masks for its whole scan region
+    // into the vector's mask buffer (32 bytes per 64 offsets — far
+    // less traffic than an expanded hit list at media-payload hit
+    // rates, and L1-resident at the default batch size). At the
+    // scalar level there is no kernel and the node is a pass-through;
+    // the scan node then runs the fused per-offset loop itself.
+    scratch.masks.clear();
+    scratch.mask_begin.clear();
+    if (kernel != nullptr) {
+      for (std::size_t si = 0; si < scratch.scannable.size(); ++si) {
+        if (si + net::kPrefetchAhead < scratch.scannable.size())
+          net::prefetch(
+              packets.data[scratch.scannable[si + net::kPrefetchAhead]]);
         scratch.mask_begin.push_back(
             static_cast<std::uint32_t>(scratch.masks.size()));
+        stage_anchor_masks(packets.payload(scratch.scannable[si]), opts,
+                           kernel, scratch.masks);
       }
-      if (counters != nullptr) {
-        ++counters->prefilter.vectors;
-        counters->prefilter.packets += scratch.scannable.size();
-        // Suspended = hot lanes staged for the scan node to re-test.
-        std::uint64_t lanes = 0;
-        for (const AnchorMasks& m : scratch.masks)
-          lanes += static_cast<std::uint64_t>(__builtin_popcountll(m.any()));
-        counters->prefilter.suspended += lanes;
-      }
+      scratch.mask_begin.push_back(
+          static_cast<std::uint32_t>(scratch.masks.size()));
+    }
+    if (counters != nullptr) {
+      ++counters->prefilter.vectors;
+      counters->prefilter.packets += scratch.scannable.size();
+      // Suspended = hot lanes staged for the scan node to re-test.
+      std::uint64_t lanes = 0;
+      for (const AnchorMasks& m : scratch.masks)
+        lanes += static_cast<std::uint64_t>(__builtin_popcountll(m.any()));
+      counters->prefilter.suspended += lanes;
+    }
 
-      // Scan node: walk the staged masks (applying the exact anchor
-      // rules the approximate stun lanes still need) and run the full
-      // protocol sniffs at each anchored offset.
-      const std::size_t before = st.candidates.size();
-      for (std::size_t si = 0; si < scratch.scannable.size(); ++si) {
-        const std::uint32_t d32 = scratch.scannable[si];
-        const BytesView payload = packets.payload(d32);
-        const auto emit = [&](std::uint32_t off, std::uint8_t mask) {
-          emit_at(payload, d32, off, mask, options_, st);
-        };
-        if (kernel != nullptr)
-          for_each_anchor_staged(payload, options_,
-                                 scratch.masks.data() + scratch.mask_begin[si],
-                                 emit);
-        else
-          for_each_anchor(payload, options_, emit);
-      }
-      if (counters != nullptr) {
-        ++counters->scan.vectors;
-        counters->scan.packets += scratch.scannable.size();
-        counters->scan.suspended += st.candidates.size() - before;
-      }
+    // Scan node: walk the staged masks (applying the exact anchor
+    // rules the approximate stun lanes still need) and run the full
+    // protocol sniffs at each anchored offset.
+    const std::size_t before = st.candidates.size();
+    for (std::size_t si = 0; si < scratch.scannable.size(); ++si) {
+      const std::uint32_t d32 = scratch.scannable[si];
+      const BytesView payload = packets.payload(d32);
+      const auto emit = [&](std::uint32_t off, std::uint8_t mask) {
+        emit_at(payload, d32, off, mask, opts, st);
+      };
+      if (kernel != nullptr)
+        for_each_anchor_staged(payload, opts,
+                               scratch.masks.data() + scratch.mask_begin[si],
+                               emit);
+      else
+        for_each_anchor(payload, opts, emit);
+    }
+    if (counters != nullptr) {
+      ++counters->scan.vectors;
+      counters->scan.packets += scratch.scannable.size();
+      counters->scan.suspended += st.candidates.size() - before;
     }
   }
+}
 
-  std::vector<Candidate>& candidates = st.candidates;
+/// Phase 2, serial: the stream-level RTP tables. Per-SSRC support (for
+/// overlap dominance) and validated SSRCs (support + sequence-number
+/// continuity), ascending, probed with binary search by every chunk.
+struct RtpTables {
+  std::vector<std::uint32_t> ssrcs, support, valid;
 
-  // ---- Step 2: protocol-specific validation (lines 14-19) ----
-  // The support tables were built at emission (ScanState); what remains
-  // is the stream-level RTP continuity analysis and the per-candidate
-  // accept/reject flags.
+  [[nodiscard]] bool ssrc_valid(std::uint32_t ssrc) const {
+    return std::binary_search(valid.begin(), valid.end(), ssrc);
+  }
+  [[nodiscard]] std::size_t support_of(std::uint32_t ssrc) const {
+    const auto it = std::lower_bound(ssrcs.begin(), ssrcs.end(), ssrc);
+    if (it == ssrcs.end() || *it != ssrc) return 0;
+    return support[static_cast<std::size_t>(it - ssrcs.begin())];
+  }
+};
 
+RtpTables build_rtp_tables(std::vector<std::uint64_t>& rtp_pairs,
+                           std::size_t min_ssrc_support) {
   // Grouping the packed pairs by SSRC gives the support counts; each
   // qualifying group's sequence numbers are sorted on demand below.
-  group_rtp_pairs_by_ssrc(st.rtp_pairs);
-  std::vector<std::uint64_t>& rtp_pairs = st.rtp_pairs;
-
-  // Per-SSRC support (for overlap dominance) and validated SSRCs
-  // (support + sequence-number continuity), ascending, probed with
-  // binary search in the loops below.
-  std::vector<std::uint32_t> rtp_ssrcs, rtp_support, valid_rtp_ssrcs;
-  rtp_ssrcs.reserve(rtp_pairs.size());
-  rtp_support.reserve(rtp_pairs.size());
+  group_rtp_pairs_by_ssrc(rtp_pairs);
+  RtpTables t;
+  t.ssrcs.reserve(rtp_pairs.size());
+  t.support.reserve(rtp_pairs.size());
   for (std::size_t lo = 0; lo < rtp_pairs.size();) {
     const auto ssrc = static_cast<std::uint32_t>(rtp_pairs[lo] >> 16);
     std::size_t hi = lo + 1;
     while (hi < rtp_pairs.size() && (rtp_pairs[hi] >> 16) == ssrc) ++hi;
     const std::size_t support = hi - lo;
-    rtp_ssrcs.push_back(ssrc);
-    rtp_support.push_back(static_cast<std::uint32_t>(support));
-    if (support >= options_.min_ssrc_support) {
+    t.ssrcs.push_back(ssrc);
+    t.support.push_back(static_cast<std::uint32_t>(support));
+    if (support >= min_ssrc_support) {
       // Equal-SSRC keys order by their low 16 bits, i.e. by seq.
       std::sort(rtp_pairs.begin() + static_cast<std::ptrdiff_t>(lo),
                 rtp_pairs.begin() + static_cast<std::ptrdiff_t>(hi));
@@ -552,22 +535,35 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
         if (seq != prev) ++distinct;
       }
       const bool advancing = distinct >= std::max<std::size_t>(2, support / 4);
-      if (advancing && close * 2 >= support - 1)
-        valid_rtp_ssrcs.push_back(ssrc);
+      if (advancing && close * 2 >= support - 1) t.valid.push_back(ssrc);
     }
     lo = hi;
   }
-  const auto ssrc_valid = [&valid_rtp_ssrcs](std::uint32_t ssrc) {
-    return std::binary_search(valid_rtp_ssrcs.begin(), valid_rtp_ssrcs.end(),
-                              ssrc);
-  };
+  return t;
+}
 
-  // Per-candidate accept/reject, applied inside the per-datagram range
-  // walk below (fused with the filter: the candidate array exceeds L2
-  // on relay-scale batches, so a separate flag pass would stream the
-  // whole array through the cache twice).
+template <typename Table, typename Key>
+int support_count(const Table& table, Key key) {
+  const auto it = table.find(key);
+  return it == table.end() ? 0 : it->second;
+}
+
+/// Phase 3, one chunk: validates the chunk's candidates in place, then
+/// resolves and parses datagrams [begin, end) into out[begin, end).
+/// `stream` holds the summed support tables and `rtp` the phase-2 RTP
+/// tables; both are shared by every chunk and only read here.
+void resolve_chunk(const rtcc::net::PacketBatch& packets, std::size_t begin,
+                   std::size_t end, std::vector<Candidate>& candidates,
+                   const ScanState& stream, const RtpTables& rtp,
+                   const ScanOptions& opts,
+                   std::vector<DatagramAnalysis>& out) {
+  // Per-candidate accept/reject (Algorithm 1, lines 14-19), applied
+  // inside the per-datagram range walk below (fused with the filter:
+  // the candidate array exceeds L2 on relay-scale batches, so a
+  // separate flag pass would stream the whole array through the cache
+  // twice).
   const auto validate_candidate = [&](Candidate& c) {
-    if (!options_.validate) {
+    if (!opts.validate) {
       c.flags |= Candidate::kValidated;
       return;
     }
@@ -586,12 +582,12 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
         // byte runs inside media payloads from matching.
         const std::size_t remaining = packets.len[c.datagram] - c.offset;
         if (std::size_t{c.length} == remaining &&
-            st.channel_support[c.channel] >= 2)
+            support_count(stream.channel_support, c.channel) >= 2)
           c.flags |= Candidate::kValidated;
         break;
       }
       case MessageKind::kRtp:
-        if (ssrc_valid(c.ssrc)) c.flags |= Candidate::kValidated;
+        if (rtp.ssrc_valid(c.ssrc)) c.flags |= Candidate::kValidated;
         break;
       case MessageKind::kRtcp: {
         // Cross-validate against known RTP streams, or require repeated
@@ -599,15 +595,15 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
         // (covers RTCP-only streams and Discord's SSRC=0 usage).
         const std::size_t remaining = packets.len[c.datagram] - c.offset;
         const bool extent_ok = std::size_t{c.length} == remaining;
-        if (extent_ok &&
-            (ssrc_valid(c.ssrc) || st.rtcp_ssrc_support[c.ssrc] >= 2))
+        if (extent_ok && (rtp.ssrc_valid(c.ssrc) ||
+                          support_count(stream.rtcp_ssrc_support, c.ssrc) >= 2))
           c.flags |= Candidate::kValidated;
         break;
       }
       case MessageKind::kQuic:
         // Long headers validate on version+structure; short headers
         // require the stream to have completed a long-header handshake.
-        if (c.quic_long() || st.quic_long_support >= 2)
+        if (c.quic_long() || stream.quic_long_support >= 2)
           c.flags |= Candidate::kValidated;
         break;
     }
@@ -619,11 +615,10 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
   // STUN, ChannelData, RTCP, QUIC, RTP sequence — so the per-datagram
   // groups below are contiguous ranges of `candidates`, already in the
   // order the cover walk needs; no per-datagram sort or bucket vectors.
-  std::vector<DatagramAnalysis> out(n_packets);
   std::vector<Candidate*> cands;  // scratch, reused across datagrams
   std::size_t range_begin = 0;
 
-  for (std::size_t di = 0; di < n_packets; ++di) {
+  for (std::size_t di = begin; di < end; ++di) {
     auto& anal = out[di];
     anal.payload_len = packets.len[di];
     std::size_t range_end = range_begin;
@@ -644,12 +639,6 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
     // timestamp byte with three real SSRC bytes). A candidate whose
     // SSRC has a small fraction of the support of an overlapping RTP
     // candidate is noise and must not shadow the genuine message.
-    auto support_of = [&](const Candidate* c) -> std::size_t {
-      const auto it =
-          std::lower_bound(rtp_ssrcs.begin(), rtp_ssrcs.end(), c->ssrc);
-      if (it == rtp_ssrcs.end() || *it != c->ssrc) return 0;
-      return rtp_support[static_cast<std::size_t>(it - rtp_ssrcs.begin())];
-    };
     for (std::size_t ci = 0; ci < cands.size(); ++ci) {
       Candidate* c = cands[ci];
       if (c->kind != MessageKind::kRtp) continue;
@@ -658,7 +647,7 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
         if (ci == cj || n->kind != MessageKind::kRtp) continue;
         // Two RTP candidates in one datagram always overlap: each spans
         // the datagram remainder (RTP carries no length field).
-        if (support_of(n) > 4 * support_of(c)) {
+        if (rtp.support_of(n->ssrc) > 4 * rtp.support_of(c->ssrc)) {
           c->flags &= static_cast<std::uint8_t>(~Candidate::kValidated);
           break;
         }
@@ -724,7 +713,7 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
           break;
         case MessageKind::kRtcp: {
           rtcp::ParseOptions po;
-          po.max_trailing = options_.max_rtcp_trailing;
+          po.max_trailing = opts.max_rtcp_trailing;
           if (auto p = rtcp::parse_compound(view, po)) {
             msg.rtcp = std::move(*p);
             ok = true;
@@ -754,6 +743,120 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
       anal.klass = DatagramClass::kStandard;
     }
   }
+}
+
+}  // namespace
+
+ScanningDpi::ScanningDpi(ScanOptions options) : options_(options) {}
+
+std::vector<DatagramAnalysis> ScanningDpi::analyze_stream(
+    const std::vector<StreamDatagram>& datagrams) const {
+  rtcc::net::PacketBatch batch;
+  batch.reserve(datagrams.size());
+  for (const auto& d : datagrams) batch.push(d.payload, d.ts, d.dir);
+  return analyze_batch(batch);
+}
+
+std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
+    const rtcc::net::PacketBatch& packets, PipelineCounters* counters,
+    std::size_t width) const {
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
+  const std::size_t n_packets = packets.size();
+  const std::size_t vectors = (n_packets + bsz - 1) / bsz;
+  const std::size_t chunks = std::max<std::size_t>(
+      1, std::min(width, vectors / kMinChunkVectors));
+  // Chunk c covers whole vectors [c*V/W, (c+1)*V/W), in datagram order.
+  const auto chunk_begin = [&](std::size_t c) {
+    return std::min(n_packets, c * vectors / chunks * bsz);
+  };
+  // Chunk 0 runs on the calling thread when alone, so width 1 never
+  // touches (or creates) the shared pool.
+  const auto run_chunks = [chunks](const auto& fn) {
+    if (chunks == 1) {
+      fn(std::size_t{0});
+    } else {
+      rtcc::util::ThreadPool::shared().parallel_for(chunks, fn);
+    }
+  };
+
+  // Chunk 0's extraction state is thread_local: the candidate and pair
+  // buffers reach a few MB on relay media streams, and re-growing (and
+  // re-faulting) them every call costs more than the scan of a small
+  // stream. Reset keeps capacity and hash-table buckets warm. The
+  // other chunks' states live only for this call, so a wide call
+  // leaves nothing behind. Tasks reach chunk 0's through `first`:
+  // named inside a task, the thread_local would resolve to the
+  // executing worker's instance.
+  static thread_local ScanState first_state;
+  ScanState& first = first_state;
+  std::vector<ScanState> rest(chunks - 1);
+  const auto state = [&](std::size_t c) -> ScanState& {
+    return c == 0 ? first : rest[c - 1];
+  };
+
+  // Buffers are sized here, on the calling thread, from the scan
+  // region: a worker that grew one by doubling would strand the
+  // outgrown copies in its own malloc arena, where no other thread's
+  // allocations reuse them. Reserved pages that are never written cost
+  // no memory, so the estimate errs high. Chunk 0's pair buffer takes
+  // the whole stream's, so phase 2 appends the others in place.
+  const auto size_hint = [&](std::size_t begin, std::size_t end) {
+    std::size_t offsets = 0;
+    for (std::size_t di = begin; di < end; ++di)
+      offsets += std::min<std::size_t>(packets.len[di],
+                                       options_.max_offset + 1);
+    return offsets / kOffsetsPerCandidate + (end - begin);
+  };
+  const std::size_t stream_hint = size_hint(0, n_packets);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    ScanState& st = state(c);
+    st.reset();
+    const std::size_t hint = chunks == 1 ? stream_hint
+                                         : size_hint(chunk_begin(c),
+                                                     chunk_begin(c + 1));
+    const std::size_t pair_hint = c == 0 ? stream_hint : hint;
+    if (st.candidates.capacity() < hint) st.candidates.reserve(hint);
+    if (st.rtp_pairs.capacity() < pair_hint) st.rtp_pairs.reserve(pair_hint);
+  }
+
+  // ---- Phase 1: candidate extraction, one chunk per task ----
+  run_chunks([&](std::size_t c) {
+    ScanState& st = state(c);
+    extract_chunk(packets, chunk_begin(c), chunk_begin(c + 1), options_, st,
+                  counters != nullptr ? &st.nodes : nullptr);
+  });
+  if (counters != nullptr)
+    for (std::size_t c = 0; c < chunks; ++c) counters->merge(state(c).nodes);
+
+  // ---- Phase 2: stream-level validation tables, serial ----
+  // Summing the support tables and appending the RTP pairs in chunk
+  // order rebuilds exactly the tables and pair sequence one serial
+  // pass emits; chunk 0's state becomes the stream's.
+  ScanState& stream = first;
+  std::size_t total_pairs = stream.rtp_pairs.size();
+  for (const ScanState& st : rest) total_pairs += st.rtp_pairs.size();
+  stream.rtp_pairs.reserve(total_pairs);
+  for (ScanState& st : rest) {
+    stream.rtp_pairs.insert(stream.rtp_pairs.end(), st.rtp_pairs.begin(),
+                            st.rtp_pairs.end());
+    std::vector<std::uint64_t>().swap(st.rtp_pairs);  // merged; free now
+    for (const auto& [channel, n] : st.channel_support)
+      stream.channel_support[channel] += n;
+    for (const auto& [ssrc, n] : st.rtcp_ssrc_support)
+      stream.rtcp_ssrc_support[ssrc] += n;
+    stream.quic_long_support += st.quic_long_support;
+  }
+  const RtpTables rtp =
+      build_rtp_tables(stream.rtp_pairs, options_.min_ssrc_support);
+
+  // ---- Phase 3: validation + resolution, one chunk per task ----
+  // Each chunk flags its own candidates and writes only its own
+  // datagrams' slots; the stream tables are read-only here.
+  std::vector<DatagramAnalysis> out(n_packets);
+  run_chunks([&](std::size_t c) {
+    resolve_chunk(packets, chunk_begin(c), chunk_begin(c + 1),
+                  state(c).candidates, stream, rtp, options_, out);
+  });
   return out;
 }
 

@@ -13,8 +13,14 @@
 // (ScanOptions::use_anchor_prefilter = false) stays as the equivalence
 // oracle — both emit a byte-identical candidate list, so validation
 // and classification cannot diverge.
+//
+// One stream can use several cores: analyze_batch splits it into
+// contiguous chunks of whole vectors that extract and resolve in
+// parallel around a serial stream-level validation step, with output
+// byte-identical at every width (DESIGN.md §6, "Intra-stream chunks").
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "dpi/message.hpp"
@@ -71,12 +77,23 @@ class ScanningDpi {
 
   /// Same analysis over a descriptor batch (the pipeline hot path —
   /// analyze_stream converts and delegates here). Extraction runs the
-  /// demux → prefilter → scan node graph in net::kBatchSize chunks;
+  /// demux → prefilter → scan node graph in net::kBatchSize vectors;
   /// when `counters` is non-null each node adds its vectors / packets /
   /// suspended tallies. Results are index-aligned with `packets`.
+  ///
+  /// `width` caps the chunks the batch is split into: min(width,
+  /// vectors / kMinChunkVectors), at least one. Chunks extract and
+  /// resolve on util::ThreadPool::shared() (the caller takes part);
+  /// one chunk runs on the calling thread alone. Analyses and counters
+  /// are identical at every width.
   [[nodiscard]] std::vector<DatagramAnalysis> analyze_batch(
       const rtcc::net::PacketBatch& packets,
-      PipelineCounters* counters = nullptr) const;
+      PipelineCounters* counters = nullptr, std::size_t width = 1) const;
+
+  /// Fewest whole vectors one chunk scans: a stream shorter than twice
+  /// this is one chunk at any width, so small streams never pay the
+  /// pool round trip.
+  static constexpr std::size_t kMinChunkVectors = 2;
 
   [[nodiscard]] const ScanOptions& options() const { return options_; }
 

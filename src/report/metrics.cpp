@@ -96,9 +96,9 @@ void decode_stream_chunk(const rtcc::net::Trace& trace,
 void analyze_stream_batch(const rtcc::dpi::ScanningDpi& dpi,
                           const rtcc::compliance::ComplianceConfig& ccfg,
                           const rtcc::net::PacketBatch& batch,
-                          CallAnalysis& part) {
+                          CallAnalysis& part, std::size_t dpi_width) {
   constexpr std::size_t bsz = rtcc::net::kBatchSize;
-  const auto analyses = dpi.analyze_batch(batch, &part.nodes);
+  const auto analyses = dpi.analyze_batch(batch, &part.nodes, dpi_width);
 
   // Compliance node, phase 1: observe every extracted message to
   // build the stream context. suspended counts the observed messages
@@ -184,7 +184,9 @@ CallAnalysis analyze_trace(const rtcc::net::Trace& trace,
   if (nshards > 1 && !rtc_streams.empty()) {
     // Flow-sharded path (DESIGN.md §7): this thread is the producer,
     // decoding each stream into chunks and routing whole streams to
-    // shard workers by symmetric 5-tuple hash.
+    // shard workers by symmetric 5-tuple hash. A capture often has
+    // fewer streams than shards, with one holding most of the media,
+    // so each stream's DPI also splits into up to `nshards` chunks.
     ShardedPipeline::Options popts;
     popts.shards = nshards;
     popts.scan = opts.scan;

@@ -229,10 +229,12 @@ void decode_stream_chunk(const rtcc::net::Trace& trace,
 /// DPI + compliance over one fully-assembled stream batch (the stream-
 /// stateful core: SSRC continuity, support tables, and the two-phase
 /// checker all need the whole stream). Fills `part` in place.
+/// `dpi_width` is the DPI's chunk width (ScanningDpi::analyze_batch):
+/// the shard count on the sharded paths, 1 on the serial one.
 void analyze_stream_batch(const rtcc::dpi::ScanningDpi& dpi,
                           const rtcc::compliance::ComplianceConfig& ccfg,
                           const rtcc::net::PacketBatch& batch,
-                          CallAnalysis& part);
+                          CallAnalysis& part, std::size_t dpi_width = 1);
 
 }  // namespace detail
 

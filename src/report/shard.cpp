@@ -197,7 +197,8 @@ void ShardedPipeline::worker(Shard& shard, std::size_t shard_index) {
       if (!item.last) continue;
 
       CallAnalysis& part = *item.partial;
-      detail::analyze_stream_batch(engine, opts_.compliance, p.batch, part);
+      detail::analyze_stream_batch(engine, opts_.compliance, p.batch, part,
+                                   workers_.size());
       part.shards.resize(workers_.size());
       ShardStat& row = part.shards[shard_index];
       row.streams += 1;

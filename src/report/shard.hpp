@@ -7,9 +7,11 @@
 // to one of N shard workers over a bounded SPSC ring
 // (util/spsc_ring.hpp), and each shard owns private state: its pending
 // flow table, its ScanningDpi engine and scan scratch, its compliance
-// checkers. The hot path crosses threads exactly once (the ring) and
-// takes no locks and touches no shared atomics beyond the two ring
-// indices.
+// checkers. The hot path crosses threads once (the ring) and takes no
+// locks and touches no shared atomics beyond the two ring indices —
+// except that each worker analyzes a stream at a DPI width of the
+// shard count, so a long stream's DPI chunks fan out to the shared
+// pool and join before the worker goes on (ScanningDpi::analyze_batch).
 //
 // Determinism: per-stream partials are computed by the exact same
 // per-stream core as the unsharded path (report::detail), batching is

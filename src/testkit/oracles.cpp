@@ -10,6 +10,7 @@
 #include "dpi/simd_dispatch.hpp"
 #include "net/arena.hpp"
 #include "net/headers.hpp"
+#include "net/packet_batch.hpp"
 #include "net/pcap.hpp"
 #include "proto/demux.hpp"
 #include "proto/quic/quic.hpp"
@@ -396,14 +397,45 @@ std::optional<std::string> check_anchor_parity(BytesView payload) {
 
 std::optional<std::string> check_scan_equivalence(
     const std::vector<Bytes>& datagrams) {
-  const auto stream = as_stream(datagrams, /*alternate_dir=*/true);
+  net::PacketBatch batch;
+  batch.reserve(datagrams.size());
+  for (const auto& d : as_stream(datagrams, /*alternate_dir=*/true))
+    batch.push(d.payload, d.ts, d.dir);
   rtcc::dpi::ScanOptions anchored;
   anchored.use_anchor_prefilter = true;
   rtcc::dpi::ScanOptions naive;
   naive.use_anchor_prefilter = false;
-  const auto a = rtcc::dpi::ScanningDpi(anchored).analyze_stream(stream);
-  const auto b = rtcc::dpi::ScanningDpi(naive).analyze_stream(stream);
-  return compare_analyses(a, b, "anchored", "naive");
+  const rtcc::dpi::ScanningDpi anchored_dpi(anchored);
+  const rtcc::dpi::ScanningDpi naive_dpi(naive);
+  rtcc::dpi::PipelineCounters anchored_nodes;
+  rtcc::dpi::PipelineCounters naive_nodes;
+  const auto a = anchored_dpi.analyze_batch(batch, &anchored_nodes);
+  const auto b = naive_dpi.analyze_batch(batch, &naive_nodes);
+  if (auto err = compare_analyses(a, b, "anchored", "naive")) return err;
+
+  // Width sweep: intra-stream chunks must not change analyses or node
+  // counters, on either scan.
+  const struct {
+    const char* name;
+    const rtcc::dpi::ScanningDpi& dpi;
+    const std::vector<rtcc::dpi::DatagramAnalysis>& serial;
+    const rtcc::dpi::PipelineCounters& serial_nodes;
+  } scans[] = {{"anchored", anchored_dpi, a, anchored_nodes},
+               {"naive", naive_dpi, b, naive_nodes}};
+  for (const auto& scan : scans) {
+    for (const std::size_t width : kDpiWidthSweep) {
+      rtcc::dpi::PipelineCounters nodes;
+      const auto wide = scan.dpi.analyze_batch(batch, &nodes, width);
+      const std::string wide_name = "width " + std::to_string(width);
+      if (auto err = compare_analyses(scan.serial, wide, "width 1",
+                                      wide_name.c_str()))
+        return std::string(scan.name) + " width sweep: " + *err;
+      if (nodes != scan.serial_nodes)
+        return std::string(scan.name) + " width sweep: width 1 vs " +
+               wide_name + " disagree on node counters";
+    }
+  }
+  return std::nullopt;
 }
 
 std::optional<std::string> check_arena_parity(

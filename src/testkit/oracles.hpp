@@ -10,7 +10,10 @@
 //   2. check_anchor_parity   — SIMD anchor scan vs an independent scalar
 //                              reference re-implementation.
 //   3. check_scan_equivalence— anchored ScanningDpi vs the naive
-//                              all-offsets oracle, byte-identical.
+//                              all-offsets oracle, byte-identical; and
+//                              each scan at width 1 vs the chunked
+//                              widths kDpiWidthSweep (analyses and
+//                              node counters).
 //   4. check_arena_parity    — the arena's three producers (alloc,
 //                              append, adopt) build, decode and
 //                              serialize identically.
@@ -27,6 +30,8 @@
 //                              exactly one IngestStats outcome counter.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,6 +40,11 @@
 #include "util/bytes.hpp"
 
 namespace rtcc::testkit {
+
+/// DPI chunk widths (ScanningDpi::analyze_batch) the scan-equivalence
+/// oracle and the batch-pipeline tests diff against width 1: even, odd,
+/// the default core count, and one above it.
+inline constexpr std::array<std::size_t, 4> kDpiWidthSweep = {2, 3, 4, 7};
 
 /// Feeds `data` to every wire parser (proto/*, net, vendor) and checks
 /// cheap structural invariants on whatever parses. Crash/UB detection

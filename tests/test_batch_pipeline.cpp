@@ -14,8 +14,37 @@
 
 namespace {
 
+using rtcc::dpi::DatagramAnalysis;
+using rtcc::dpi::ScanningDpi;
 using rtcc::util::Bytes;
 using rtcc::util::BytesView;
+
+void expect_same_analyses(const std::vector<DatagramAnalysis>& a,
+                          const std::vector<DatagramAnalysis>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("datagram " + std::to_string(i));
+    EXPECT_EQ(a[i].klass, b[i].klass);
+    EXPECT_EQ(a[i].proprietary_header_len, b[i].proprietary_header_len);
+    EXPECT_EQ(a[i].candidates, b[i].candidates);
+    ASSERT_EQ(a[i].messages.size(), b[i].messages.size());
+    for (std::size_t m = 0; m < a[i].messages.size(); ++m) {
+      EXPECT_EQ(a[i].messages[m].kind, b[i].messages[m].kind);
+      EXPECT_EQ(a[i].messages[m].offset, b[i].messages[m].offset);
+      EXPECT_EQ(a[i].messages[m].length, b[i].messages[m].length);
+      EXPECT_EQ(a[i].messages[m].type_label(), b[i].messages[m].type_label());
+      EXPECT_EQ(a[i].messages[m].raw, b[i].messages[m].raw);
+    }
+  }
+}
+
+rtcc::net::PacketBatch batch_of(const std::vector<Bytes>& payloads) {
+  rtcc::net::PacketBatch batch;
+  for (std::size_t i = 0; i < payloads.size(); ++i)
+    batch.push(BytesView{payloads[i]}, static_cast<double>(i) * 0.01,
+               static_cast<int>(i & 1));
+  return batch;
+}
 
 TEST(BatchPipeline, BoundaryCountsMatchPerDatagramPath) {
   // Seed a mixed stream, tile it to every boundary count (empty, one,
@@ -38,33 +67,49 @@ TEST(BatchPipeline, BoundaryCountsMatchPerDatagramPath) {
 
 TEST(BatchPipeline, NodeCountersAccountForEveryPacket) {
   // 300 datagrams = one full vector + a partial one, plus every chunk
-  // edge length; payloads 7 and 280 are empty and must be parked by
-  // demux, not scanned.
+  // edge length, plus the intra-stream chunk edges. A stream splits
+  // once it has twice the per-chunk minimum of vectors, a partial last
+  // vector counting as one: 3 vectors are one chunk at any width, and
+  // one datagram more (a 4th, partial vector) is two. Twice the
+  // per-chunk minimum of datagrams plus one is 5 vectors, two chunks,
+  // with the swept width 7 above its vector count. 15 vectors split
+  // into as many chunks as every swept width asks for, of unequal
+  // sizes. Payloads 7 and 280 are empty and must be parked by demux,
+  // not scanned. Analyses and counters are pinned at width 1 and must
+  // not move at any swept width.
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
+  constexpr std::size_t min_chunk = ScanningDpi::kMinChunkVectors * bsz;
+  constexpr std::size_t split = 2 * min_chunk - bsz;
   std::vector<std::size_t> lengths = {300};
   lengths.insert(lengths.end(), rtcc::testkit::kChunkEdgeLengths.begin(),
                  rtcc::testkit::kChunkEdgeLengths.end());
-  const rtcc::dpi::ScanningDpi dpi;
+  lengths.insert(lengths.end(), {split, split + 1, 2 * min_chunk + 1,
+                                 7 * min_chunk + 1});
+  const ScanningDpi dpi;
   for (const std::size_t n : lengths) {
     SCOPED_TRACE("n=" + std::to_string(n));
     rtcc::util::Rng rng(0xace);
     std::vector<Bytes> payloads;
-    rtcc::net::PacketBatch batch;
     std::size_t empties = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const bool empty = i == 7 || i == 280;
       empties += empty ? 1 : 0;
       payloads.push_back(rng.bytes(empty ? 0 : 40 + rng.below(200)));
     }
-    for (std::size_t i = 0; i < n; ++i)
-      batch.push(BytesView{payloads[i]}, static_cast<double>(i) * 0.01,
-                 static_cast<int>(i & 1));
+    const auto batch = batch_of(payloads);
 
     rtcc::dpi::PipelineCounters counters;
     const auto out = dpi.analyze_batch(batch, &counters);
     ASSERT_EQ(out.size(), n);
+    for (const std::size_t width : rtcc::testkit::kDpiWidthSweep) {
+      SCOPED_TRACE("width=" + std::to_string(width));
+      rtcc::dpi::PipelineCounters wide_counters;
+      expect_same_analyses(out,
+                           dpi.analyze_batch(batch, &wide_counters, width));
+      EXPECT_TRUE(wide_counters == counters);
+    }
 
-    const std::uint64_t vectors =
-        (n + rtcc::net::kBatchSize - 1) / rtcc::net::kBatchSize;
+    const std::uint64_t vectors = (n + bsz - 1) / bsz;
     EXPECT_EQ(counters.demux.vectors, vectors);
     EXPECT_EQ(counters.demux.packets, n);
     EXPECT_EQ(counters.demux.suspended, empties);
@@ -88,23 +133,89 @@ TEST(BatchPipeline, CountersAreOptional) {
   for (std::size_t i = 0; i < stream.datagrams.size(); ++i)
     batch.push(BytesView{stream.datagrams[i]}, static_cast<double>(i),
                static_cast<int>(i & 1));
-  const rtcc::dpi::ScanningDpi dpi;
+  const ScanningDpi dpi;
   rtcc::dpi::PipelineCounters counters;
   const auto counted = dpi.analyze_batch(batch, &counters);
   const auto uncounted = dpi.analyze_batch(batch);
   EXPECT_TRUE(counters.scan.any());
-  ASSERT_EQ(counted.size(), uncounted.size());
-  for (std::size_t i = 0; i < counted.size(); ++i) {
-    SCOPED_TRACE("datagram " + std::to_string(i));
-    EXPECT_EQ(counted[i].klass, uncounted[i].klass);
-    EXPECT_EQ(counted[i].candidates, uncounted[i].candidates);
-    ASSERT_EQ(counted[i].messages.size(), uncounted[i].messages.size());
-    for (std::size_t m = 0; m < counted[i].messages.size(); ++m) {
-      EXPECT_EQ(counted[i].messages[m].offset, uncounted[i].messages[m].offset);
-      EXPECT_EQ(counted[i].messages[m].length, uncounted[i].messages[m].length);
-      EXPECT_EQ(counted[i].messages[m].raw, uncounted[i].messages[m].raw);
+  expect_same_analyses(counted, uncounted);
+}
+
+TEST(BatchPipeline, StreamEvidenceSpansChunks) {
+  // Twice the per-chunk minimum plus one datagram: two chunks at every
+  // swept width, split at datagram 512. Each stream-level validator's
+  // evidence is split across that boundary — a TURN channel, an RTCP
+  // sender SSRC, an RTP SSRC's three packets and two QUIC long headers
+  // — so those messages are found only if validation sums the chunks'
+  // support tables and joins their RTP pairs. Noise fills the rest.
+  constexpr std::size_t n =
+      2 * ScanningDpi::kMinChunkVectors * rtcc::net::kBatchSize + 1;
+  constexpr std::size_t last = n - 1;
+  rtcc::util::Rng rng(0xc4a2);
+  std::vector<Bytes> payloads;
+  for (std::size_t i = 0; i < n; ++i)
+    payloads.push_back(rng.bytes(40 + rng.below(200)));
+
+  const Bytes channel = {0x40, 0x01, 0x00, 0x08, 1, 2, 3, 4, 5, 6, 7, 8};
+  const Bytes rtcp_rr = {0x80, 0xC9, 0x00, 0x01, 0x11, 0x22, 0x33, 0x44};
+  const auto rtp = [](std::uint8_t seq) {
+    Bytes b = {0x80, 0x60, 0x00, seq,  0x00, 0x00,
+               0x00, seq,  0xCA, 0xFE, 0xF0, 0x0D};
+    b.resize(32, 0x5A);
+    return b;
+  };
+  const auto quic_seed = [&rng](std::uint8_t form) {
+    for (;;) {
+      Bytes b = rtcc::testkit::make_seed(rtcc::testkit::SeedFamily::kQuic, rng);
+      if (!b.empty() && (b[0] & 0xC0) == form) return b;
     }
+  };
+  Bytes quic_short = quic_seed(0x40);
+  quic_short[0] = 0x5F;  // short form, first byte outside ChannelData's
+  struct Evidence {
+    std::size_t first, second;  // datagram in chunk 0, in chunk 1
+    rtcc::dpi::MessageKind kind;
+  };
+  const Evidence evidence[] = {
+      {0, last, rtcc::dpi::MessageKind::kChannelData},
+      {1, last - 1, rtcc::dpi::MessageKind::kRtcp},
+      {2, last - 2, rtcc::dpi::MessageKind::kRtp},
+      {3, last - 4, rtcc::dpi::MessageKind::kQuic},
+  };
+  payloads[0] = payloads[last] = channel;
+  payloads[1] = payloads[last - 1] = rtcp_rr;
+  payloads[2] = rtp(1);
+  payloads[last - 2] = rtp(2);
+  payloads[last - 3] = rtp(3);
+  payloads[3] = quic_seed(0xC0);
+  payloads[last - 4] = quic_seed(0xC0);
+  payloads[last - 5] = quic_short;
+
+  const ScanningDpi dpi;
+  const auto found = [](const DatagramAnalysis& a, rtcc::dpi::MessageKind k) {
+    return !a.messages.empty() && a.messages.front().offset == 0 &&
+           a.messages.front().kind == k;
+  };
+  const auto serial = dpi.analyze_batch(batch_of(payloads));
+  for (const Evidence& e : evidence) {
+    EXPECT_TRUE(found(serial[e.first], e.kind)) << e.first;
+    EXPECT_TRUE(found(serial[e.second], e.kind)) << e.second;
   }
+  EXPECT_TRUE(found(serial[last - 5], rtcc::dpi::MessageKind::kQuic));
+  for (const std::size_t width : rtcc::testkit::kDpiWidthSweep) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    expect_same_analyses(serial, dpi.analyze_batch(batch_of(payloads), nullptr,
+                                                   width));
+  }
+
+  // Control: without chunk 0's half, chunk 1's evidence falls short of
+  // every validator's threshold.
+  for (const Evidence& e : evidence) payloads[e.first] = rng.bytes(64);
+  const auto lone = dpi.analyze_batch(batch_of(payloads), nullptr, 2);
+  EXPECT_FALSE(found(lone[last], rtcc::dpi::MessageKind::kChannelData));
+  EXPECT_FALSE(found(lone[last - 1], rtcc::dpi::MessageKind::kRtcp));
+  EXPECT_FALSE(found(lone[last - 2], rtcc::dpi::MessageKind::kRtp));
+  EXPECT_FALSE(found(lone[last - 5], rtcc::dpi::MessageKind::kQuic));
 }
 
 }  // namespace
