@@ -20,7 +20,6 @@
 #include "proto/tls/client_hello.hpp"
 #include "report/corpus.hpp"
 #include "report/metrics.hpp"
-#include "report/shard.hpp"
 #include "stream/chunk_reader.hpp"
 #include "stream/engine.hpp"
 #include "stream/stream_mode.hpp"
@@ -371,18 +370,17 @@ BENCHMARK(BM_ScenarioScaling)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-/// Flow-sharding scaling curve: the same streaming corpus with the
-/// shard count pinned per run (arg = RTCC_SHARDS equivalent; 1 = the
-/// unsharded reference). Real time vs process CPU time separates
+/// Width scaling curve: the same streaming corpus with the analysis
+/// width pinned per run (arg = AnalysisOptions::shards; 1 = the serial
+/// reference). Real time vs process CPU time separates
 /// speedup from parallel overhead: on an N-core box real time should
 /// drop toward 1/N while CPU time stays roughly flat (the merged
 /// output is byte-identical at every point — the parity oracle's
 /// claim — so this measures cost only). Published as BENCH_shard.json
 /// by the release-bench CI job.
 void BM_ShardScaling(benchmark::State& state) {
-  const report::ShardModeGuard shard_guard(
-      static_cast<std::size_t>(state.range(0)));
   report::CorpusOptions opts;
+  opts.experiment.analysis.shards = static_cast<std::size_t>(state.range(0));
   opts.experiment.repeats = 1;
   opts.experiment.media_scale = 0.02;
   opts.experiment.call_s = 60.0;

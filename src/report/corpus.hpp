@@ -10,7 +10,7 @@
 // memory/throughput counters the paper-scale 90-call corpus is judged
 // on: peak concurrently-live trace bytes, process peak RSS, and
 // end-to-end MB/s. Aggregates are merged app-major, so the per-app
-// analyses are bit-identical for every exec mode and shard count.
+// analyses are bit-identical at every width.
 #pragma once
 
 #include <map>
@@ -22,13 +22,14 @@
 namespace rtcc::report {
 
 struct CorpusOptions {
-  /// The call matrix, analysis options, and exec mode. kSerial runs
-  /// the whole pipeline on the calling thread (the gate degenerates to
-  /// max_live_traces = 1).
+  /// The call matrix and analysis options. At width 1
+  /// (analysis.shards = 1, or auto under RTCC_THREADS=1) the whole
+  /// pipeline runs on the calling thread.
   ExperimentConfig experiment;
   /// Upper bound on traces alive at once. 0 = 2x the pool's worker
-  /// count (workers stay busy while the next generation is admitted)
-  /// — the default keeps peak memory O(workers), not O(calls).
+  /// count (workers stay busy while the next generation is admitted),
+  /// or 1 at width 1 — the default keeps peak memory O(workers), not
+  /// O(calls).
   std::size_t max_live_traces = 0;
   /// Scenario-catalogue sweep appended after the app matrix: every
   /// emul::scenario_catalogue() entry is generated and analyzed this

@@ -65,10 +65,10 @@ void write_analysis(JsonWriter& w, const CallAnalysis& a) {
     w.end_object();
   }
 
-  // Flow-sharding diagnostics (DESIGN.md §7): one row per shard
-  // worker. Present only when the sharded path ran — the split depends
-  // on RTCC_SHARDS, so (like "nodes") parity signatures exclude it and
-  // goldens, produced with shards pinned to 1, never contain it.
+  // Flow-sharding diagnostics (DESIGN.md §6c): one row per shard
+  // worker. Present only when the streaming engine's sharded hand-off
+  // ran — the split depends on the width, so parity signatures exclude
+  // it and batch reports (the goldens among them) never contain it.
   if (!a.shards.empty()) {
     w.key("shards").begin_array();
     for (const auto& s : a.shards) {

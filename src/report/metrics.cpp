@@ -4,9 +4,9 @@
 #include <limits>
 
 #include "report/corpus.hpp"
-#include "report/shard.hpp"
 #include "stream/engine.hpp"
 #include "util/env_knob.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rtcc::report {
 
@@ -15,6 +15,12 @@ using rtcc::compliance::StreamComplianceChecker;
 using rtcc::dpi::DatagramAnalysis;
 using rtcc::dpi::ScanningDpi;
 using rtcc::dpi::StreamDatagram;
+
+std::size_t effective_shards(const AnalysisOptions& opts) {
+  const std::size_t width =
+      opts.shards != 0 ? opts.shards : rtcc::util::ThreadPool::shared_size();
+  return std::min(width, kMaxShards);
+}
 
 std::size_t ProtocolStats::compliant_types() const {
   std::size_t n = 0;
@@ -173,50 +179,36 @@ CallAnalysis analyze_trace(const rtcc::net::Trace& trace,
   const auto& table = pre.table;
 
   // Streams are independent (all validation heuristics and compliance
-  // context are stream-scoped), so each one fills its own partial.
-  // Partials merge in a fixed order — stream order on the serial path,
-  // shard order on the sharded one — and merge() is order-insensitive,
-  // so output is identical at every shard count.
+  // context are stream-scoped), so each one fills its own partial and
+  // partials merge in stream order: output is identical at every width.
+  // At width > 1 the streams run as tasks on the shared pool, and each
+  // stream's DPI splits into up to `width` chunks on the same pool
+  // (nested parallel_for cannot deadlock). A capture often has fewer
+  // streams than workers, with one holding most of the media, so the
+  // chunks are what keep the pool busy. Width 1 never touches the pool.
   const auto& rtc_streams = pre.report.rtc_udp_streams;
   std::vector<CallAnalysis> partials(rtc_streams.size());
-  const std::size_t nshards = effective_shards(opts);
-
-  if (nshards > 1 && !rtc_streams.empty()) {
-    // Flow-sharded path (DESIGN.md §7): this thread is the producer,
-    // decoding each stream into chunks and routing whole streams to
-    // shard workers by symmetric 5-tuple hash. A capture often has
-    // fewer streams than shards, with one holding most of the media,
-    // so each stream's DPI also splits into up to `nshards` chunks.
-    ShardedPipeline::Options popts;
-    popts.shards = nshards;
-    popts.scan = opts.scan;
-    popts.compliance = opts.compliance;
-    ShardedPipeline pipe(popts);
-    std::vector<std::size_t> routed(rtc_streams.size());
-    for (std::size_t si = 0; si < rtc_streams.size(); ++si)
-      routed[si] = pipe.submit_stream(trace, table,
-                                      table.streams[rtc_streams[si]],
-                                      &partials[si]);
-    pipe.finish();
-    for (std::size_t s = 0; s < pipe.shards(); ++s)
-      for (std::size_t si = 0; si < rtc_streams.size(); ++si)
-        if (routed[si] == s) merge(out, partials[si]);
-  } else {
-    const ScanningDpi dpi(opts.scan);
+  const std::size_t width = effective_shards(opts);
+  const ScanningDpi dpi(opts.scan);
+  const auto analyze_one = [&](std::size_t si) {
     constexpr std::size_t bsz = rtcc::net::kBatchSize;
-    for (std::size_t si = 0; si < rtc_streams.size(); ++si) {
-      const auto& stream = table.streams[rtc_streams[si]];
-      CallAnalysis& part = partials[si];
-      const std::size_t n = stream.packets.size();
-      rtcc::net::PacketBatch batch;
-      batch.reserve(n);
-      for (std::size_t base = 0; base < n; base += bsz)
-        detail::decode_stream_chunk(trace, table, stream, base,
-                                    std::min(n, base + bsz), batch, part);
-      detail::analyze_stream_batch(dpi, opts.compliance, batch, part);
-      merge(out, part);
-    }
+    const auto& stream = table.streams[rtc_streams[si]];
+    CallAnalysis& part = partials[si];
+    const std::size_t n = stream.packets.size();
+    rtcc::net::PacketBatch batch;
+    batch.reserve(n);
+    for (std::size_t base = 0; base < n; base += bsz)
+      detail::decode_stream_chunk(trace, table, stream, base,
+                                  std::min(n, base + bsz), batch, part);
+    detail::analyze_stream_batch(dpi, opts.compliance, batch, part, width);
+  };
+  if (width > 1) {
+    rtcc::util::ThreadPool::shared().parallel_for(rtc_streams.size(),
+                                                  analyze_one);
+  } else {
+    for (std::size_t si = 0; si < rtc_streams.size(); ++si) analyze_one(si);
   }
+  for (const CallAnalysis& part : partials) merge(out, part);
   if (per_stream != nullptr) *per_stream = std::move(partials);
   return out;
 }
@@ -292,14 +284,6 @@ ExperimentConfig experiment_config_from_env() {
   cfg.seed = static_cast<std::uint64_t>(rtcc::util::env_knob_ll(
       "RTCC_SEED", static_cast<long long>(cfg.seed), 0,
       std::numeric_limits<long long>::max()));
-  // RTCC_PARALLEL=0/false/off forces fully serial execution (calls
-  // and each call's streams, no shard workers); results are identical
-  // either way — the knob only changes dispatch. A value outside the
-  // boolean grammar warns and keeps the pooled default.
-  if (!rtcc::util::env_knob_bool("RTCC_PARALLEL", true)) {
-    cfg.exec = ExecMode::kSerial;
-    cfg.analysis.shards = 1;
-  }
   return cfg;
 }
 

@@ -18,13 +18,24 @@ namespace rtcc::report {
 struct AnalysisOptions {
   rtcc::dpi::ScanOptions scan;
   rtcc::compliance::ComplianceConfig compliance;
-  /// Flow-shard worker count for this analysis. 0 defers to the global
-  /// RTCC_SHARDS knob (report/shard.hpp); 1 analyzes the streams
-  /// serially on the calling thread; N > 1 routes streams to N shard
-  /// workers by symmetric 5-tuple hash. Output is bit-identical for
-  /// every value (DESIGN.md §7).
+  /// Parallel width of this analysis. 0 = auto (effective_shards); 1
+  /// runs everything on the calling thread; N > 1 runs the streams (and
+  /// the corpus's calls) as tasks on the shared pool, splits each
+  /// stream's DPI into up to N chunks, and gives the streaming engine N
+  /// shard workers. Output is bit-identical for every value
+  /// (DESIGN.md §6b).
   std::size_t shards = 0;
 };
+
+/// Hard ceiling on the analysis width (the streaming engine's memory
+/// per shard is one ring plus pending batches; 64 is far above any
+/// plausible core count here).
+inline constexpr std::size_t kMaxShards = 64;
+
+/// Width one analysis runs with: `opts.shards` when set, else the
+/// shared pool's size (util::ThreadPool::shared_size, RTCC_THREADS),
+/// clamped to kMaxShards. Always >= 1; 1 means fully serial.
+[[nodiscard]] std::size_t effective_shards(const AnalysisOptions& opts);
 
 /// Stats for one (protocol, message-type-label) cell of Tables 3-6.
 struct TypeStats {
@@ -45,10 +56,10 @@ struct ProtocolStats {
   [[nodiscard]] std::size_t total_types() const { return types.size(); }
 };
 
-/// Per-shard work accounting for the flow-sharded pipeline
-/// (report/shard.hpp). Diagnostic, like PipelineCounters: the split
-/// depends on RTCC_SHARDS, so equivalence signatures and the parity
-/// oracles exclude it (the report JSON surfaces it under "shards").
+/// Per-shard work accounting for the streaming engine's flow-sharded
+/// hand-off (report/shard.hpp). Diagnostic, like FlowStats: the split
+/// depends on the width, so equivalence signatures and the stream-parity
+/// oracle exclude it (the report JSON surfaces it under "shards").
 struct ShardStat {
   std::uint64_t streams = 0;        // streams routed to this shard
   std::uint64_t handoff_vectors = 0;  // ring items received
@@ -125,11 +136,11 @@ struct CallAnalysis {
   // exclude these (the report JSON surfaces them under "nodes").
   rtcc::dpi::PipelineCounters nodes;
 
-  // --- Flow-sharding diagnostics (DESIGN.md §7) ---
-  // One row per shard worker, filled only by the sharded path. Each
-  // per-stream partial carries a full-width vector with only its own
-  // shard's row populated, so merge() aggregates per-shard totals at
-  // every level. Empty on the unsharded path.
+  // --- Flow-sharding diagnostics (DESIGN.md §6c) ---
+  // One row per shard worker, filled only by the streaming engine's
+  // sharded hand-off. Each per-stream partial carries a full-width
+  // vector with only its own shard's row populated, so merge()
+  // aggregates per-shard totals at every level. Empty on the batch path.
   std::vector<ShardStat> shards;
 
   // --- Streaming-engine diagnostics (DESIGN.md §6c) ---
@@ -168,14 +179,6 @@ struct CallAnalysis {
 
 void merge(CallAnalysis& into, const CallAnalysis& from);
 
-/// How the corpus driver dispatches the per-call tasks. Both produce
-/// bit-identical results (fixed app-major merge order); they differ
-/// only in wall-clock.
-enum class ExecMode : std::uint8_t {
-  kSerial,  // one call at a time on the calling thread
-  kPooled,  // persistent work-stealing pool (util/thread_pool.hpp)
-};
-
 /// The paper's experiment matrix: apps × network configs × repeats.
 struct ExperimentConfig {
   std::vector<rtcc::emul::AppId> apps = rtcc::emul::all_apps();
@@ -185,10 +188,9 @@ struct ExperimentConfig {
   double call_s = 300.0;
   bool background = true;
   std::uint64_t seed = 42;
-  /// Emulate+analyze calls concurrently (one task per call). Results
-  /// are merged in a fixed order, so every mode produces identical
-  /// aggregates.
-  ExecMode exec = ExecMode::kPooled;
+  /// `analysis.shards` is also the corpus width: above 1 the calls run
+  /// as pool tasks, at 1 one at a time on the calling thread. Results
+  /// merge in a fixed order, so every width gives identical aggregates.
   AnalysisOptions analysis;
 };
 
@@ -196,9 +198,10 @@ struct ExperimentConfig {
 [[nodiscard]] std::map<rtcc::emul::AppId, CallAnalysis> run_experiment(
     const ExperimentConfig& cfg);
 
-/// Reads the RTCC_* env vars (RTCC_SCALE, RTCC_REPEATS, RTCC_SEED,
-/// RTCC_PARALLEL; see EXPERIMENTS.md) so benches can be sped up or made
-/// more faithful without recompiling.
+/// Reads the RTCC_* env vars (RTCC_SCALE, RTCC_REPEATS, RTCC_SEED; see
+/// EXPERIMENTS.md) so benches can be sped up or made more faithful
+/// without recompiling. Parallelism follows RTCC_THREADS through the
+/// auto width.
 [[nodiscard]] ExperimentConfig experiment_config_from_env();
 
 namespace detail {
@@ -206,7 +209,7 @@ namespace detail {
 /// The single-threaded front of analyze_trace: grouping + two-stage
 /// filter, which must see the whole trace (stage 2 draws cross-stream
 /// evidence from removed streams), before the per-stream hot path
-/// fans out. Shared by analyze_trace and the sharded corpus producer.
+/// fans out.
 struct TracePrelude {
   CallAnalysis base;               // stage stats + ingest, no stream work
   rtcc::net::StreamTable table;    // owns reassembled payload buffers
@@ -218,8 +221,7 @@ struct TracePrelude {
 
 /// Decode node over one batch-sized chunk of a stream: resolves packet
 /// descriptors [base, end) into the SoA batch and books the decode
-/// counters into `part`. Identical code on the serial and sharded
-/// paths, so node counters are shard-invariant.
+/// counters into `part`.
 void decode_stream_chunk(const rtcc::net::Trace& trace,
                          const rtcc::net::StreamTable& table,
                          const rtcc::net::Stream& stream, std::size_t base,
@@ -229,8 +231,8 @@ void decode_stream_chunk(const rtcc::net::Trace& trace,
 /// DPI + compliance over one fully-assembled stream batch (the stream-
 /// stateful core: SSRC continuity, support tables, and the two-phase
 /// checker all need the whole stream). Fills `part` in place.
-/// `dpi_width` is the DPI's chunk width (ScanningDpi::analyze_batch):
-/// the shard count on the sharded paths, 1 on the serial one.
+/// `dpi_width` is the DPI's chunk width (ScanningDpi::analyze_batch),
+/// the analysis width.
 void analyze_stream_batch(const rtcc::dpi::ScanningDpi& dpi,
                           const rtcc::compliance::ComplianceConfig& ccfg,
                           const rtcc::net::PacketBatch& batch,

@@ -1,63 +1,13 @@
 #include "report/shard.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <unordered_map>
 
 #include "net/flow_hash.hpp"
-#include "util/env_knob.hpp"
 #include "util/spsc_ring.hpp"
 
 namespace rtcc::report {
-
-namespace {
-
-std::size_t clamp_shards(std::size_t n) {
-  return n > kMaxShards ? kMaxShards : n;
-}
-
-std::atomic<std::size_t>& shard_flag() {
-  static std::atomic<std::size_t> count{[]() -> std::size_t {
-    if (const char* env = std::getenv("RTCC_SHARDS")) {
-      if (std::strcmp(env, "auto") != 0) {
-        // Strict parse: "4x", "-2", or garbage falls back to auto with
-        // a one-line warning instead of silently running unsharded.
-        // Values above kMaxShards clamp (documented ceiling).
-        const auto v = rtcc::util::parse_knob_ll(env);
-        if (v && *v >= 1) return clamp_shards(static_cast<std::size_t>(*v));
-        rtcc::util::warn_bad_knob("RTCC_SHARDS", env,
-                                  "want 'auto' or an integer >= 1");
-      }
-    }
-    return kAutoShards;
-  }()};
-  return count;
-}
-
-}  // namespace
-
-std::size_t configured_shard_count() {
-  return shard_flag().load(std::memory_order_relaxed);
-}
-
-std::size_t shard_count() {
-  const std::size_t configured = configured_shard_count();
-  if (configured != kAutoShards) return configured;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return clamp_shards(hw != 0 ? hw : 1);
-}
-
-std::size_t set_shard_count(std::size_t count) {
-  shard_flag().store(clamp_shards(count), std::memory_order_relaxed);
-  return shard_count();
-}
-
-std::size_t effective_shards(const AnalysisOptions& opts) {
-  return opts.shards != 0 ? opts.shards : shard_count();
-}
 
 /// One worker's world: its ring, its thread, and the first exception it
 /// hit. Heap-allocated so the vector of shards never relocates a live
@@ -70,7 +20,8 @@ struct ShardedPipeline::Shard {
 };
 
 ShardedPipeline::ShardedPipeline(const Options& opts) : opts_(opts) {
-  const std::size_t n = clamp_shards(std::max<std::size_t>(1, opts.shards));
+  const std::size_t n =
+      std::clamp<std::size_t>(opts.shards, 1, kMaxShards);
   const std::size_t depth = std::max<std::size_t>(2, opts.ring_depth);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
@@ -87,49 +38,6 @@ ShardedPipeline::~ShardedPipeline() {
     finish();
   } catch (...) {
   }
-}
-
-std::size_t ShardedPipeline::submit_stream(
-    const rtcc::net::Trace& trace, const rtcc::net::StreamTable& table,
-    const rtcc::net::Stream& stream, CallAnalysis* partial,
-    std::shared_ptr<const void> keepalive) {
-  const std::size_t target = rtcc::net::shard_of(stream.key, workers_.size());
-  auto& ring = workers_[target]->ring;
-  constexpr std::size_t bsz = rtcc::net::kBatchSize;
-  const std::size_t n = stream.packets.size();
-  const std::uint64_t slot = next_slot_++;
-
-  if (n == 0) {
-    // Degenerate stream: one empty last chunk so the shard still fills
-    // the partial (and releases the keepalive). Matches the unsharded
-    // path, whose chunk loop books nothing for an empty stream.
-    WorkItem item;
-    item.slot = slot;
-    item.last = true;
-    item.partial = partial;
-    item.keepalive = std::move(keepalive);
-    ring.push(std::move(item));
-    return target;
-  }
-
-  for (std::size_t base = 0; base < n; base += bsz) {
-    const std::size_t end = std::min(n, base + bsz);
-    WorkItem item;
-    item.slot = slot;
-    item.batch.reserve(end - base);
-    // Decode counters land in *partial from the producer thread; the
-    // shard reads the partial only after popping the last chunk, and
-    // the ring's release/acquire pair orders these bookings before it.
-    detail::decode_stream_chunk(trace, table, stream, base, end, item.batch,
-                                *partial);
-    item.last = end == n;
-    if (item.last) {
-      item.partial = partial;
-      item.keepalive = std::move(keepalive);
-    }
-    ring.push(std::move(item));
-  }
-  return target;
 }
 
 std::size_t ShardedPipeline::submit_batch(
@@ -169,11 +77,11 @@ std::size_t ShardedPipeline::submit_batch(
 }
 
 void ShardedPipeline::worker(Shard& shard, std::size_t shard_index) {
-  // Private flow table: stream slot -> accumulated whole-stream batch.
-  // DPI validation (SSRC continuity, support tables) and the two-phase
-  // compliance checker are stream-stateful, so a stream is analyzed
-  // only once its last chunk arrives — by the exact same core as the
-  // unsharded path, which is what makes output shard-count-invariant.
+  // Private flow table: flow slot -> accumulated whole-flow batch. DPI
+  // validation (SSRC continuity, support tables) and the two-phase
+  // compliance checker are stream-stateful, so a flow is analyzed only
+  // once its last chunk arrives — by the exact same core as batch
+  // analysis, which is what makes output shard-count-invariant.
   struct PendingStream {
     rtcc::net::PacketBatch batch;
     std::uint64_t vectors = 0;

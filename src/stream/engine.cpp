@@ -496,7 +496,7 @@ CallAnalysis StreamingAnalyzer::finish(std::vector<CallAnalysis>* per_stream) {
 
   // ---- Merge (merge() is order-insensitive, pinned by the merge-order
   // oracle, so the folded aggregate plus the held partials match the
-  // batch path's stream- and shard-order merges byte for byte) ----
+  // batch path's stream-order merge byte for byte) ----
   rtcc::report::merge(out, folded_);
   if (per_stream != nullptr) {
     per_stream->clear();

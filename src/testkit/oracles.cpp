@@ -743,41 +743,43 @@ std::string mode_invariant_json(rtcc::report::CallAnalysis a) {
 
 std::optional<std::string> check_shard_parity(
     const std::vector<Bytes>& datagrams) {
-  // Below two datagrams there is nothing to route: skip the (thread-
-  // spawning) sweep so tiny fuzz inputs stay cheap.
+  // Below two datagrams there is only one flow: nothing to spread.
   if (datagrams.size() < 2) return std::nullopt;
 
   const net::Trace trace = multi_flow_trace(datagrams);
   if (trace.size() == 0) return std::nullopt;
   const rtcc::filter::FilterConfig fcfg = keep_all_filter_config();
-  const auto& strip = mode_invariant_json;
+  // The batch path is the one under test, also when the whole suite
+  // runs under RTCC_STREAM=1.
+  const rtcc::stream::StreamModeGuard batch(false);
+  using rtcc::report::to_json;
 
   rtcc::report::AnalysisOptions opts;
   opts.shards = 1;
   std::vector<rtcc::report::CallAnalysis> ref_parts;
-  const auto ref = rtcc::report::analyze_trace(trace, fcfg, opts, &ref_parts);
-  const std::string ref_json = strip(ref);
+  const std::string ref_json =
+      to_json(rtcc::report::analyze_trace(trace, fcfg, opts, &ref_parts));
 
-  for (const std::size_t count : {std::size_t{2}, std::size_t{3},
-                                  std::size_t{8}}) {
-    opts.shards = count;
+  for (const std::size_t width : {std::size_t{2}, std::size_t{3},
+                                  std::size_t{4}, std::size_t{8}}) {
+    opts.shards = width;
     std::vector<rtcc::report::CallAnalysis> parts;
     const auto got = rtcc::report::analyze_trace(trace, fcfg, opts, &parts);
     std::ostringstream err;
-    if (strip(got) != ref_json) {
-      err << "shard parity: merged report at " << count
-          << " shards differs from the unsharded path";
+    if (to_json(got) != ref_json) {
+      err << "shard parity: merged report at width " << width
+          << " differs from width 1";
       return err.str();
     }
     if (parts.size() != ref_parts.size()) {
-      err << "shard parity: " << count << " shards produced " << parts.size()
-          << " per-stream partials, unsharded produced " << ref_parts.size();
+      err << "shard parity: width " << width << " produced " << parts.size()
+          << " per-stream partials, width 1 produced " << ref_parts.size();
       return err.str();
     }
     for (std::size_t si = 0; si < parts.size(); ++si) {
-      if (strip(parts[si]) != strip(ref_parts[si])) {
-        err << "shard parity: stream " << si << " partial at " << count
-            << " shards differs from the unsharded path";
+      if (to_json(parts[si]) != to_json(ref_parts[si])) {
+        err << "shard parity: stream " << si << " partial at width " << width
+            << " differs from width 1";
         return err.str();
       }
     }

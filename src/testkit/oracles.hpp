@@ -84,12 +84,12 @@ inline constexpr std::array<std::size_t, 4> kDpiWidthSweep = {2, 3, 4, 7};
 [[nodiscard]] std::optional<std::string> check_simd_parity(
     const std::vector<rtcc::util::Bytes>& datagrams);
 
-/// Flow-sharded analyze_trace vs the unsharded path: the datagrams are
-/// spread across several bidirectional flows and analyzed at shard
-/// counts {1, 2, 3, 8}; the merged report and every per-stream partial
-/// must be byte-identical (after dropping the knob-dependent "shards"
-/// diagnostic) at every count. The live equivalence oracle behind
-/// RTCC_SHARDS (DESIGN.md §7).
+/// Batch analyze_trace across widths: the datagrams are spread across
+/// several bidirectional flows and analyzed (streaming pinned off) at
+/// widths {1, 2, 3, 4, 8}; the full report JSON of the merged report
+/// and of every per-stream partial must be byte-identical at every
+/// width. The live equivalence oracle behind AnalysisOptions::shards
+/// and RTCC_THREADS (DESIGN.md §6b).
 [[nodiscard]] std::optional<std::string> check_shard_parity(
     const std::vector<rtcc::util::Bytes>& datagrams);
 

@@ -37,12 +37,17 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool([] {
+unsigned ThreadPool::shared_size() {
+  static const unsigned size = [] {
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     return static_cast<unsigned>(rtcc::util::env_knob_ll(
         "RTCC_THREADS", static_cast<long long>(hw), 1, 1024));
-  }());
+  }();
+  return size;
+}
+
+ThreadPool& ThreadPool::shared() {
+  static ThreadPool pool(shared_size());
   return pool;
 }
 

@@ -31,9 +31,13 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Process-wide pool, created on first use and reused across calls /
-  /// experiments. Sized from RTCC_THREADS when set (>0), otherwise
-  /// hardware_concurrency.
+  /// experiments, with shared_size() workers.
   static ThreadPool& shared();
+
+  /// Worker count of shared(): RTCC_THREADS when set (>0), otherwise
+  /// hardware_concurrency. Resolved once; never creates the pool, so
+  /// callers can size work (the auto analysis width) without spawning.
+  [[nodiscard]] static unsigned shared_size();
 
   [[nodiscard]] unsigned worker_count() const {
     return static_cast<unsigned>(workers_.size());

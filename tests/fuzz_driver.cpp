@@ -20,7 +20,6 @@
 #include <string>
 
 #include "dpi/simd_dispatch.hpp"
-#include "report/shard.hpp"
 #include "stream/stream_mode.hpp"
 #include "testkit/driver.hpp"
 #include "testkit/golden.hpp"
@@ -155,11 +154,6 @@ int main(int argc, char** argv) {
   // overrides (the parity oracles — not the goldens — cover knob
   // equivalence; kernel levels stage identical masks by design).
   const rtcc::dpi::SimdModeGuard simd_guard(rtcc::dpi::detected_simd_level());
-  // Shards pinned to 1 for the same reason: the sharded path adds the
-  // knob-dependent "shards" diagnostic to report JSON, and goldens must
-  // stay byte-identical under RTCC_SHARDS. The shard-parity oracle (a
-  // {1,2,3,8} sweep inside run_stream_oracles) covers knob equivalence.
-  const rtcc::report::ShardModeGuard shard_guard(1);
   // Streaming pinned off likewise: RTCC_STREAM=1 adds the knob-dependent
   // "flows" diagnostic to report JSON. The stream-parity oracle (a
   // chunk-size / eviction-budget sweep inside run_stream_oracles) covers

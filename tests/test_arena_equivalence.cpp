@@ -185,8 +185,8 @@ TEST(Corpus, CountersAreConsistentAndLiveSetIsBounded) {
 TEST(Corpus, SerialAndPooledAgree) {
   report::CorpusOptions pooled;
   pooled.experiment = tiny_matrix();
+  pooled.experiment.analysis.shards = 4;
   auto serial = pooled;
-  serial.experiment.exec = report::ExecMode::kSerial;
   serial.experiment.analysis.shards = 1;
 
   const auto a = report::run_corpus(pooled);

@@ -283,7 +283,7 @@ TEST(ChunkReader, StreamsInSmallFractionOfCaptureSize) {
   sopts.chunk_bytes = 1 << 12;
   // The bound is a claim about the single-threaded engine: shard
   // workers pin evicted payloads in flight until they drain, so an
-  // ambient RTCC_SHARDS would re-inflate the peak it measures.
+  // auto width above 1 would re-inflate the peak it measures.
   report::AnalysisOptions unsharded;
   unsharded.shards = 1;
   const auto got =

@@ -3,16 +3,16 @@
 //  * the anchor prefilter (dpi/anchor_scan) produces byte-identical
 //    DPI output vs the naive all-offsets oracle, across the whole
 //    6-app x 3-network corpus;
-//  * run_experiment produces bit-identical aggregates under serial and
-//    pooled dispatch (and with or without shard workers) — the pool
-//    only reorders *when* work runs, never its result;
+//  * run_experiment produces bit-identical aggregates at every width
+//    (serial, or calls and streams as tasks on the shared pool) — the
+//    pool only reorders *when* work runs, never its result;
 //  * the work-stealing pool itself runs every index exactly once,
 //    supports nested parallel_for, and propagates task exceptions.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dpi/simd_dispatch.hpp"
@@ -265,30 +265,20 @@ report::ExperimentConfig small_experiment() {
 }
 
 TEST(ExperimentDeterminism, SerialPooledIdentical) {
-  // Force a real multi-thread pool even on single-core CI: shared() is
-  // created on first use, which in this process happens below.
-  setenv("RTCC_THREADS", "4", 1);
-
+  // Width 1 runs on the calling thread; widths 3 and 4 run the calls,
+  // their streams and each stream's DPI chunks as shared-pool tasks.
   auto cfg = small_experiment();
-  cfg.exec = report::ExecMode::kSerial;
   cfg.analysis.shards = 1;
   const auto serial = report::run_experiment(cfg);
-
-  // Pooled with unsharded per-call analysis, then pooled through the
-  // sharded corpus producer.
-  cfg.exec = report::ExecMode::kPooled;
-  const auto pooled = report::run_experiment(cfg);
-  cfg.analysis.shards = 3;
-  const auto sharded = report::run_experiment(cfg);
-
-  expect_identical_experiments(serial, pooled);
-  expect_identical_experiments(serial, sharded);
-  unsetenv("RTCC_THREADS");
+  for (const std::size_t width : {3u, 4u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    cfg.analysis.shards = width;
+    expect_identical_experiments(serial, report::run_experiment(cfg));
+  }
 }
 
 TEST(ExperimentDeterminism, AnchorPrefilterOnOffIdentical) {
   auto cfg = small_experiment();
-  cfg.exec = report::ExecMode::kSerial;
   cfg.analysis.shards = 1;
   cfg.analysis.scan.use_anchor_prefilter = true;
   const auto anchored = report::run_experiment(cfg);
@@ -299,29 +289,14 @@ TEST(ExperimentDeterminism, AnchorPrefilterOnOffIdentical) {
 
 TEST(ExperimentDeterminism, SimdKnobIdentical) {
   // Experiment-level restatement of the SIMD extremes: the report
-  // metrics must not depend on the kernel level. Serial execution keeps
-  // the process-wide guard race-free.
+  // metrics must not depend on the kernel level. Width 1 keeps the
+  // process-wide guard race-free.
   auto cfg = small_experiment();
-  cfg.exec = report::ExecMode::kSerial;
   cfg.analysis.shards = 1;
   const auto detected = report::run_experiment(cfg);
   const dpi::SimdModeGuard simd(dpi::SimdLevel::kScalar);
   const auto scalar = report::run_experiment(cfg);
   expect_identical_experiments(detected, scalar);
-}
-
-TEST(ExperimentDeterminism, EnvParallelKnob) {
-  setenv("RTCC_PARALLEL", "0", 1);
-  auto cfg = report::experiment_config_from_env();
-  EXPECT_EQ(cfg.exec, report::ExecMode::kSerial);
-  EXPECT_EQ(cfg.analysis.shards, 1u);
-  setenv("RTCC_PARALLEL", "1", 1);
-  cfg = report::experiment_config_from_env();
-  EXPECT_EQ(cfg.exec, report::ExecMode::kPooled);
-  EXPECT_EQ(cfg.analysis.shards, 0u);
-  unsetenv("RTCC_PARALLEL");
-  cfg = report::experiment_config_from_env();
-  EXPECT_EQ(cfg.exec, report::ExecMode::kPooled);
 }
 
 }  // namespace

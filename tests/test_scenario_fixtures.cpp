@@ -2,7 +2,7 @@
 // hand-built Wi-Fi→cellular handoff capture and a TURN-over-TCP
 // fallback capture, with every IngestStats field hand-computed in the
 // generator. Each fixture is analyzed three ways — batch, streaming
-// (StreamModeGuard) and 4-way sharded (ShardModeGuard) — and the
+// (StreamModeGuard) and batch at widths 1 and 4 — and the
 // compliance signatures must agree, the in-process half of the
 // analyze_fixture_handoff / analyze_fixture_turn_tcp ctest pins.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "net/address.hpp"
 #include "net/pcap.hpp"
 #include "report/metrics.hpp"
-#include "report/shard.hpp"
 #include "stream/stream_mode.hpp"
 #include "testkit/meta.hpp"
 
@@ -23,7 +22,6 @@ namespace {
 using rtcc::net::IngestStats;
 using rtcc::net::IpAddr;
 using rtcc::net::Trace;
-using rtcc::report::ShardModeGuard;
 using rtcc::stream::StreamModeGuard;
 using rtcc::testkit::meta::analyze_case;
 
@@ -51,10 +49,11 @@ void expect_parity(const Trace& trace, const rtcc::filter::FilterConfig& cfg,
     EXPECT_EQ(analyze_case(trace, cfg).signature, base_signature)
         << "streaming parity";
   }
-  {
-    ShardModeGuard four_shards(4);
-    EXPECT_EQ(analyze_case(trace, cfg).signature, base_signature)
-        << "shard parity";
+  for (const std::size_t width : {1u, 4u}) {
+    AnalysisOptions opts;
+    opts.shards = width;
+    EXPECT_EQ(analyze_case(trace, cfg, opts).signature, base_signature)
+        << "shard parity at width " << width;
   }
 }
 

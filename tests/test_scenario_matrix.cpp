@@ -12,14 +12,12 @@
 #include "emul/scenario.hpp"
 #include "net/pcap.hpp"
 #include "report/corpus.hpp"
-#include "report/shard.hpp"
 #include "stream/stream_mode.hpp"
 #include "testkit/meta.hpp"
 
 namespace rtcc::emul {
 namespace {
 
-using rtcc::report::ShardModeGuard;
 using rtcc::stream::StreamModeGuard;
 using rtcc::testkit::meta::analyze_case;
 
@@ -65,26 +63,27 @@ TEST(ScenarioCatalogue, EveryScenarioIsDeterministic) {
 }
 
 // The knob-parity oracle, per scenario: the one-pass streaming engine
-// and the flow-sharded pipeline must reproduce the batch compliance
+// and width-4 analysis must reproduce the width-1 batch compliance
 // signature on every catalogue entry — new scenario families don't get
 // to regress the equivalence guarantees.
 TEST(ScenarioCatalogue, StreamAndShardParityOnEveryScenario) {
   const auto opts = quick_options();
+  rtcc::report::AnalysisOptions serial, wide;
+  serial.shards = 1;
+  wide.shards = 4;
   for (const auto& spec : scenario_catalogue()) {
     SCOPED_TRACE(spec.name);
     const Scenario scen = spec.build(opts);
-    const auto base = analyze_case(scen.trace, scen.cfg);
+    const auto base = analyze_case(scen.trace, scen.cfg, serial);
     EXPECT_GT(base.merged.rtc_udp.packets, 0u);
     {
       StreamModeGuard stream_on(true);
       EXPECT_EQ(analyze_case(scen.trace, scen.cfg).signature, base.signature)
           << "streaming parity";
     }
-    {
-      ShardModeGuard four_shards(4);
-      EXPECT_EQ(analyze_case(scen.trace, scen.cfg).signature, base.signature)
-          << "shard parity";
-    }
+    EXPECT_EQ(analyze_case(scen.trace, scen.cfg, wide).signature,
+              base.signature)
+        << "shard parity";
   }
 }
 
@@ -120,7 +119,7 @@ TEST(ScenarioCatalogue, CorpusRunnerEmitsPerScenarioRows) {
   opts.experiment.repeats = 1;
   opts.experiment.media_scale = 0.01;
   opts.experiment.call_s = 15.0;
-  opts.experiment.exec = rtcc::report::ExecMode::kSerial;
+  opts.experiment.analysis.shards = 1;
   opts.scenario_repeats = 1;
 
   const auto result = rtcc::report::run_corpus(opts);

@@ -408,6 +408,10 @@ TEST(Service, VerdictReaderThatGoesAwayCostsWriteErrorsNotTheDaemon) {
     opts.epoch_s = 0.1;  // ~1500 epoch lines: far more than a pipe buffer
     opts.poll_ms = 5;
     opts.fcfg = emul::group_filter_config(call);
+    // The child of a multi-threaded process (earlier batch analyses
+    // leave the shared pool's workers running) must not start threads
+    // of its own: width 1 keeps the daemon on this one thread.
+    opts.analysis.shards = 1;
     service::Daemon daemon(opts);
     service::Daemon::install_signal_handlers(&daemon);
     if (!daemon.start()) ::_exit(2);
