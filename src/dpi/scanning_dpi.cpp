@@ -1,6 +1,7 @@
 #include "dpi/scanning_dpi.hpp"
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
 
 #include "dpi/anchor_scan.hpp"
@@ -63,20 +64,31 @@ struct Candidate {
   [[nodiscard]] bool quic_long() const { return flags & kQuicLong; }
 };
 
+/// Phase 2 partitions the stream's RTP pairs by the SSRC's top byte.
+/// An SSRC lives in exactly one partition and ascending partitions hold
+/// ascending SSRCs, so grouping each partition on its own and joining
+/// the results in partition order gives the stream-wide ascending
+/// tables. A relay media stream's partition holds a few thousand
+/// pairs, small enough to group in cache.
+constexpr std::size_t kRtpPartitions = 256;
+
 /// Everything the extraction nodes append to: the candidate list plus
 /// the support tables (Algorithm 1's validation inputs), one state per
 /// chunk. The tables are filled *at emission* — the old separate walk
 /// over the candidate array to build them re-read tens of MB per relay
 /// stream. The RTP table is the big one — the scan yields one noise
 /// candidate per ~25% of offsets with mostly-unique fake SSRCs — and is
-/// kept flat: (ssrc, seq) packed into one u64, sorted once, then walked
-/// group-by-group. A map of per-SSRC vectors here costs an allocation
-/// per noise SSRC and dominates validation time. The small tables
-/// (channels, RTCP SSRCs) stay hashed; they hold counts only, so the
-/// stream's tables are the sums of its chunks'.
+/// kept flat: (ssrc, seq) packed into one u64, plus the pair count of
+/// each SSRC top byte, which lays out phase 2's partitions and then
+/// becomes this chunk's scatter cursor into them. A map of
+/// per-SSRC vectors here costs an allocation per noise SSRC and
+/// dominates validation time. The small tables (channels, RTCP SSRCs)
+/// stay hashed; they hold counts only, so the stream's tables are the
+/// sums of its chunks'.
 struct ScanState {
   std::vector<Candidate> candidates;
   std::vector<std::uint64_t> rtp_pairs;  // ssrc << 16 | seq
+  std::array<std::size_t, kRtpPartitions> rtp_partition_pairs{};
   std::unordered_map<std::uint16_t, int> channel_support;
   std::unordered_map<std::uint32_t, int> rtcp_ssrc_support;
   int quic_long_support = 0;
@@ -87,6 +99,7 @@ struct ScanState {
   void reset() {
     candidates.clear();
     rtp_pairs.clear();
+    rtp_partition_pairs.fill(0);
     channel_support.clear();
     rtcp_ssrc_support.clear();
     quic_long_support = 0;
@@ -170,39 +183,40 @@ std::uint16_t seq_distance(std::uint16_t a, std::uint16_t b) {
   return std::min(d1, d2);
 }
 
-/// Groups packed (ssrc << 16 | seq) keys by SSRC, ascending. There is
-/// roughly one key per case-2 anchor — ~10^5 for a relay media stream —
-/// so comparison sorting them costs more than the whole validation
-/// walk; two 16-bit LSD counting passes over the SSRC field are
-/// near-linear instead. Sequence numbers inside a group stay in
-/// emission order: the continuity walk sorts the few groups that clear
-/// the support gate (real streams) and never reads seq order inside
-/// noise groups, so the third radix pass the full 48-bit sort needed is
-/// pure waste.
-void group_rtp_pairs_by_ssrc(std::vector<std::uint64_t>& v) {
-  if (v.size() < 2048) {
-    std::sort(v.begin(), v.end());
+/// Groups one partition's packed (ssrc << 16 | seq) keys by SSRC,
+/// ascending, in place; `tmp` is scratch. Below kPartitionMinPairs a
+/// comparison sort is cheapest. A larger partition shares its SSRC top
+/// byte (a stream with fewer pairs is one partition, and a partition
+/// holds no more than its stream), so two 12-bit LSD counting passes
+/// over the low 24 SSRC bits group it, with a 4096-bucket table that
+/// stays in L1. Sequence numbers inside a group stay in pass order: the
+/// continuity walk sorts the few groups that clear the support gate
+/// (real streams) and never reads seq order inside noise groups.
+void group_partition(std::uint64_t* v, std::size_t n,
+                     std::vector<std::uint64_t>& tmp) {
+  if (n < ScanningDpi::kPartitionMinPairs) {
+    std::sort(v, v + n);
     return;
   }
-  // The scratch is thread_local: a fresh ~1.6 MB allocation per call
-  // costs more in page faults than the sort itself on large streams.
-  static thread_local std::vector<std::uint64_t> tmp;
-  static thread_local std::vector<std::uint32_t> pos;
-  tmp.resize(v.size());
-  pos.resize(1 << 16);
-  for (int pass = 1; pass < 3; ++pass) {
-    const int shift = pass * 16;
-    std::fill(pos.begin(), pos.end(), 0);
-    for (const std::uint64_t x : v) ++pos[(x >> shift) & 0xFFFF];
+  constexpr int kDigitBits = 12;
+  constexpr std::uint64_t kDigitMask = (1u << kDigitBits) - 1;
+  if (tmp.size() < n) tmp.resize(n);
+  std::uint64_t* src = v;
+  std::uint64_t* dst = tmp.data();
+  for (int shift = 16; shift < 40; shift += kDigitBits) {
+    std::array<std::uint32_t, kDigitMask + 1> pos{};
+    for (std::size_t i = 0; i < n; ++i) ++pos[(src[i] >> shift) & kDigitMask];
     std::uint32_t running = 0;
     for (std::uint32_t& c : pos) {
-      const std::uint32_t n = c;
+      const std::uint32_t k = c;
       c = running;
-      running += n;
+      running += k;
     }
-    for (const std::uint64_t x : v) tmp[pos[(x >> shift) & 0xFFFF]++] = x;
-    v.swap(tmp);
+    for (std::size_t i = 0; i < n; ++i)
+      dst[pos[(src[i] >> shift) & kDigitMask]++] = src[i];
+    std::swap(src, dst);
   }
+  // Two passes: the grouped keys are back in `v`.
 }
 
 // ---- Candidate emission, one helper per protocol ----
@@ -316,6 +330,7 @@ RTCC_ALWAYS_INLINE void emit_rtp(BytesView at, std::uint32_t di, std::uint32_t o
     c.length = static_cast<std::uint32_t>(at.size());
     c.ssrc = s->ssrc;
     st.rtp_pairs.push_back(std::uint64_t{s->ssrc} << 16 | s->seq);
+    ++st.rtp_partition_pairs[s->ssrc >> 24];
   }
 }
 
@@ -483,9 +498,13 @@ void extract_chunk(const rtcc::net::PacketBatch& packets, std::size_t begin,
   }
 }
 
-/// Phase 2, serial: the stream-level RTP tables. Per-SSRC support (for
-/// overlap dominance) and validated SSRCs (support + sequence-number
-/// continuity), ascending, probed with binary search by every chunk.
+/// Phase 2's output: the stream-level RTP tables. SSRCs with support
+/// >= 2 and their support (for overlap dominance), and the validated
+/// SSRCs (support + sequence-number continuity), ascending, probed with
+/// binary search by every chunk. An SSRC seen once is left out — on
+/// relay media that is nearly every noise SSRC — and support_of gives
+/// it 1. That is exact: support_of is only asked about the SSRC of an
+/// emitted RTP candidate, and every such candidate pushed a pair.
 struct RtpTables {
   std::vector<std::uint32_t> ssrcs, support, valid;
 
@@ -494,39 +513,45 @@ struct RtpTables {
   }
   [[nodiscard]] std::size_t support_of(std::uint32_t ssrc) const {
     const auto it = std::lower_bound(ssrcs.begin(), ssrcs.end(), ssrc);
-    if (it == ssrcs.end() || *it != ssrc) return 0;
+    if (it == ssrcs.end() || *it != ssrc) return 1;
     return support[static_cast<std::size_t>(it - ssrcs.begin())];
+  }
+
+  void append(const RtpTables& slice) {
+    ssrcs.insert(ssrcs.end(), slice.ssrcs.begin(), slice.ssrcs.end());
+    support.insert(support.end(), slice.support.begin(), slice.support.end());
+    valid.insert(valid.end(), slice.valid.begin(), slice.valid.end());
   }
 };
 
-RtpTables build_rtp_tables(std::vector<std::uint64_t>& rtp_pairs,
-                           std::size_t min_ssrc_support) {
-  // Grouping the packed pairs by SSRC gives the support counts; each
-  // qualifying group's sequence numbers are sorted on demand below.
-  group_rtp_pairs_by_ssrc(rtp_pairs);
-  RtpTables t;
-  t.ssrcs.reserve(rtp_pairs.size());
-  t.support.reserve(rtp_pairs.size());
-  for (std::size_t lo = 0; lo < rtp_pairs.size();) {
-    const auto ssrc = static_cast<std::uint32_t>(rtp_pairs[lo] >> 16);
+/// Walks one grouped partition's SSRC groups into `t`, in ascending
+/// SSRC order. Each group that clears the support gate has its keys
+/// sorted (equal-SSRC keys order by their low 16 bits, i.e. by seq)
+/// for the continuity check.
+void append_rtp_groups(std::uint64_t* v, std::size_t n,
+                       std::size_t min_ssrc_support, RtpTables& t) {
+  for (std::size_t lo = 0; lo < n;) {
+    const auto ssrc = static_cast<std::uint32_t>(v[lo] >> 16);
     std::size_t hi = lo + 1;
-    while (hi < rtp_pairs.size() && (rtp_pairs[hi] >> 16) == ssrc) ++hi;
+    while (hi < n && (v[hi] >> 16) == ssrc) ++hi;
     const std::size_t support = hi - lo;
-    t.ssrcs.push_back(ssrc);
-    t.support.push_back(static_cast<std::uint32_t>(support));
+    if (support >= 2) {
+      t.ssrcs.push_back(ssrc);
+      t.support.push_back(static_cast<std::uint32_t>(support));
+    }
     if (support >= min_ssrc_support) {
-      // Equal-SSRC keys order by their low 16 bits, i.e. by seq.
-      std::sort(rtp_pairs.begin() + static_cast<std::ptrdiff_t>(lo),
-                rtp_pairs.begin() + static_cast<std::ptrdiff_t>(hi));
+      std::sort(v + lo, v + hi);
       // Continuity: a healthy stream's sorted sequence numbers are
       // mostly adjacent; scanning noise produces uniformly random ones.
       // Constant proprietary-header bytes produce the opposite artifact
       // — the same fake (ssrc, seq) repeated verbatim — so genuine
       // streams must also show the sequence number actually advancing.
+      // A lone pair never advances, so every valid SSRC is also in
+      // `ssrcs`.
       std::size_t close = 0, distinct = 1;
       for (std::size_t i = lo + 1; i < hi; ++i) {
-        const auto seq = static_cast<std::uint16_t>(rtp_pairs[i]);
-        const auto prev = static_cast<std::uint16_t>(rtp_pairs[i - 1]);
+        const auto seq = static_cast<std::uint16_t>(v[i]);
+        const auto prev = static_cast<std::uint16_t>(v[i - 1]);
         // A zero gap is a duplicate, not adjacency: constant header
         // bytes masquerading as RTP repeat the same few (ssrc, seq)
         // pairs, and duplicates must not count as continuity evidence.
@@ -539,7 +564,86 @@ RtpTables build_rtp_tables(std::vector<std::uint64_t>& rtp_pairs,
     }
     lo = hi;
   }
-  return t;
+}
+
+/// Phase 2, RTP half: builds the stream's RTP tables from the chunks'
+/// pairs, on the same chunks and pool as phases 1 and 3.
+///   1. Each chunk counted its pairs per SSRC top byte at emission. The
+///      counts lay the partitions out in `pairs`, partition-major and
+///      chunk-minor (one partition below kPartitionMinPairs pairs, so
+///      a short flow never lays out 256 of them).
+///   2. Each chunk scatters its pairs there, one task per chunk.
+///   3. Each task groups a contiguous range of partitions, about equal
+///      in pairs, in place and walks them into its slice of the tables.
+///   4. The slices join in partition order.
+/// `pairs` is the calling thread's stream-sized buffer; it only grows.
+template <typename StateFn, typename RunFn>
+RtpTables build_rtp_tables(std::size_t chunks, const StateFn& state,
+                           const RunFn& run, std::size_t min_ssrc_support,
+                           std::vector<std::uint64_t>& pairs) {
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < chunks; ++c) total += state(c).rtp_pairs.size();
+  const std::size_t parts =
+      total < ScanningDpi::kPartitionMinPairs ? 1 : kRtpPartitions;
+  const std::uint64_t part_mask = parts - 1;
+  // part_begin[p] is partition p's first slot. Each chunk's count of
+  // partition p becomes where its next pair of partition p goes.
+  std::array<std::size_t, kRtpPartitions + 1> part_begin{};
+  std::size_t running = 0;
+  for (std::size_t p = 0; p < parts; ++p) {
+    part_begin[p] = running;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      ScanState& st = state(c);
+      std::size_t& slot = st.rtp_partition_pairs[p];
+      const std::size_t n = parts == 1 ? st.rtp_pairs.size() : slot;
+      slot = running;
+      running += n;
+    }
+  }
+  part_begin[parts] = running;
+  if (pairs.size() < total) {
+    std::vector<std::uint64_t>().swap(pairs);
+    pairs.resize(total);
+  }
+
+  run(chunks, [&](std::size_t c) {
+    ScanState& st = state(c);
+    auto& cursor = st.rtp_partition_pairs;
+    for (const std::uint64_t x : st.rtp_pairs)
+      pairs[cursor[(x >> 40) & part_mask]++] = x;
+    // Chunk 0's buffer is the calling thread's, kept warm for the next
+    // call; the others are done.
+    if (c != 0) std::vector<std::uint64_t>().swap(st.rtp_pairs);
+  });
+
+  // Task t groups partitions [task_begin[t], task_begin[t + 1]): the
+  // first starts at or after pair t * total / tasks.
+  const std::size_t tasks = std::min(chunks, parts);
+  std::array<std::size_t, kRtpPartitions + 1> task_begin{};
+  for (std::size_t t = 0, p = 0; t < tasks; ++t) {
+    while (p < parts && part_begin[p] * tasks < t * total) ++p;
+    task_begin[t] = p;
+  }
+  task_begin[tasks] = parts;
+  RtpTables rtp;
+  std::vector<RtpTables> rest(tasks - 1);
+  run(tasks, [&](std::size_t t) {
+    RtpTables& slice = t == 0 ? rtp : rest[t - 1];
+    // Every SSRC the slice keeps holds at least two of its pairs.
+    const std::size_t range_pairs =
+        part_begin[task_begin[t + 1]] - part_begin[task_begin[t]];
+    slice.ssrcs.reserve(range_pairs / 2);
+    slice.support.reserve(range_pairs / 2);
+    std::vector<std::uint64_t> tmp;
+    for (std::size_t p = task_begin[t]; p < task_begin[t + 1]; ++p) {
+      std::uint64_t* v = pairs.data() + part_begin[p];
+      const std::size_t n = part_begin[p + 1] - part_begin[p];
+      group_partition(v, n, tmp);
+      append_rtp_groups(v, n, min_ssrc_support, slice);
+    }
+  });
+  for (const RtpTables& slice : rest) rtp.append(slice);
+  return rtp;
 }
 
 template <typename Table, typename Key>
@@ -769,13 +873,13 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
   const auto chunk_begin = [&](std::size_t c) {
     return std::min(n_packets, c * vectors / chunks * bsz);
   };
-  // Chunk 0 runs on the calling thread when alone, so width 1 never
-  // touches (or creates) the shared pool.
-  const auto run_chunks = [chunks](const auto& fn) {
-    if (chunks == 1) {
+  // A single task runs on the calling thread, so width 1 never touches
+  // (or creates) the shared pool.
+  const auto run = [](std::size_t tasks, const auto& fn) {
+    if (tasks == 1) {
       fn(std::size_t{0});
     } else {
-      rtcc::util::ThreadPool::shared().parallel_for(chunks, fn);
+      rtcc::util::ThreadPool::shared().parallel_for(tasks, fn);
     }
   };
 
@@ -798,8 +902,7 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
   // region: a worker that grew one by doubling would strand the
   // outgrown copies in its own malloc arena, where no other thread's
   // allocations reuse them. Reserved pages that are never written cost
-  // no memory, so the estimate errs high. Chunk 0's pair buffer takes
-  // the whole stream's, so phase 2 appends the others in place.
+  // no memory, so the estimate errs high.
   const auto size_hint = [&](std::size_t begin, std::size_t end) {
     std::size_t offsets = 0;
     for (std::size_t di = begin; di < end; ++di)
@@ -807,20 +910,16 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
                                        options_.max_offset + 1);
     return offsets / kOffsetsPerCandidate + (end - begin);
   };
-  const std::size_t stream_hint = size_hint(0, n_packets);
   for (std::size_t c = 0; c < chunks; ++c) {
     ScanState& st = state(c);
     st.reset();
-    const std::size_t hint = chunks == 1 ? stream_hint
-                                         : size_hint(chunk_begin(c),
-                                                     chunk_begin(c + 1));
-    const std::size_t pair_hint = c == 0 ? stream_hint : hint;
+    const std::size_t hint = size_hint(chunk_begin(c), chunk_begin(c + 1));
     if (st.candidates.capacity() < hint) st.candidates.reserve(hint);
-    if (st.rtp_pairs.capacity() < pair_hint) st.rtp_pairs.reserve(pair_hint);
+    if (st.rtp_pairs.capacity() < hint) st.rtp_pairs.reserve(hint);
   }
 
   // ---- Phase 1: candidate extraction, one chunk per task ----
-  run_chunks([&](std::size_t c) {
+  run(chunks, [&](std::size_t c) {
     ScanState& st = state(c);
     extract_chunk(packets, chunk_begin(c), chunk_begin(c + 1), options_, st,
                   counters != nullptr ? &st.nodes : nullptr);
@@ -828,32 +927,30 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
   if (counters != nullptr)
     for (std::size_t c = 0; c < chunks; ++c) counters->merge(state(c).nodes);
 
-  // ---- Phase 2: stream-level validation tables, serial ----
-  // Summing the support tables and appending the RTP pairs in chunk
-  // order rebuilds exactly the tables and pair sequence one serial
-  // pass emits; chunk 0's state becomes the stream's.
+  // ---- Phase 2: stream-level validation tables ----
+  // The small support tables are summed into chunk 0's, which becomes
+  // the stream's; sums do not depend on how the stream was split. The
+  // RTP tables are built from partitions on the pool. The partitioned
+  // pair buffer is the calling thread's, like chunk 0's state, and
+  // reached through a reference for the same reason.
   ScanState& stream = first;
-  std::size_t total_pairs = stream.rtp_pairs.size();
-  for (const ScanState& st : rest) total_pairs += st.rtp_pairs.size();
-  stream.rtp_pairs.reserve(total_pairs);
-  for (ScanState& st : rest) {
-    stream.rtp_pairs.insert(stream.rtp_pairs.end(), st.rtp_pairs.begin(),
-                            st.rtp_pairs.end());
-    std::vector<std::uint64_t>().swap(st.rtp_pairs);  // merged; free now
+  for (const ScanState& st : rest) {
     for (const auto& [channel, n] : st.channel_support)
       stream.channel_support[channel] += n;
     for (const auto& [ssrc, n] : st.rtcp_ssrc_support)
       stream.rtcp_ssrc_support[ssrc] += n;
     stream.quic_long_support += st.quic_long_support;
   }
-  const RtpTables rtp =
-      build_rtp_tables(stream.rtp_pairs, options_.min_ssrc_support);
+  static thread_local std::vector<std::uint64_t> partitioned_pairs;
+  const RtpTables rtp = build_rtp_tables(chunks, state, run,
+                                         options_.min_ssrc_support,
+                                         partitioned_pairs);
 
   // ---- Phase 3: validation + resolution, one chunk per task ----
   // Each chunk flags its own candidates and writes only its own
   // datagrams' slots; the stream tables are read-only here.
   std::vector<DatagramAnalysis> out(n_packets);
-  run_chunks([&](std::size_t c) {
+  run(chunks, [&](std::size_t c) {
     resolve_chunk(packets, chunk_begin(c), chunk_begin(c + 1),
                   state(c).candidates, stream, rtp, options_, out);
   });

@@ -16,8 +16,9 @@
 //
 // One stream can use several cores: analyze_batch splits it into
 // contiguous chunks of whole vectors that extract and resolve in
-// parallel around a serial stream-level validation step, with output
-// byte-identical at every width (DESIGN.md §6, "Intra-stream chunks").
+// parallel, and builds the stream-level validation tables from SSRC
+// partitions on the same pool in between, with output byte-identical
+// at every width (DESIGN.md §6, "Intra-stream chunks").
 #pragma once
 
 #include <cstddef>
@@ -82,10 +83,11 @@ class ScanningDpi {
   /// suspended tallies. Results are index-aligned with `packets`.
   ///
   /// `width` caps the chunks the batch is split into: min(width,
-  /// vectors / kMinChunkVectors), at least one. Chunks extract and
-  /// resolve on util::ThreadPool::shared() (the caller takes part);
-  /// one chunk runs on the calling thread alone. Analyses and counters
-  /// are identical at every width.
+  /// vectors / kMinChunkVectors), at least one. Chunks extract, build
+  /// the stream's RTP tables from SSRC partitions, and resolve on
+  /// util::ThreadPool::shared() (the caller takes part); one chunk runs
+  /// on the calling thread alone. Analyses and counters are identical
+  /// at every width.
   [[nodiscard]] std::vector<DatagramAnalysis> analyze_batch(
       const rtcc::net::PacketBatch& packets,
       PipelineCounters* counters = nullptr, std::size_t width = 1) const;
@@ -94,6 +96,11 @@ class ScanningDpi {
   /// this is one chunk at any width, so small streams never pay the
   /// pool round trip.
   static constexpr std::size_t kMinChunkVectors = 2;
+
+  /// Fewest RTP candidates (one (ssrc, seq) pair each) for which the
+  /// stream-level validation step partitions the pairs by SSRC top
+  /// byte; a stream with fewer keeps them in one partition.
+  static constexpr std::size_t kPartitionMinPairs = 512;
 
   [[nodiscard]] const ScanOptions& options() const { return options_; }
 

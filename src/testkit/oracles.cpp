@@ -401,38 +401,46 @@ std::optional<std::string> check_scan_equivalence(
   batch.reserve(datagrams.size());
   for (const auto& d : as_stream(datagrams, /*alternate_dir=*/true))
     batch.push(d.payload, d.ts, d.dir);
-  rtcc::dpi::ScanOptions anchored;
-  anchored.use_anchor_prefilter = true;
-  rtcc::dpi::ScanOptions naive;
-  naive.use_anchor_prefilter = false;
-  const rtcc::dpi::ScanningDpi anchored_dpi(anchored);
-  const rtcc::dpi::ScanningDpi naive_dpi(naive);
-  rtcc::dpi::PipelineCounters anchored_nodes;
-  rtcc::dpi::PipelineCounters naive_nodes;
-  const auto a = anchored_dpi.analyze_batch(batch, &anchored_nodes);
-  const auto b = naive_dpi.analyze_batch(batch, &naive_nodes);
-  if (auto err = compare_analyses(a, b, "anchored", "naive")) return err;
+  // With validation off every candidate reaches overlap resolution, so
+  // that is the configuration where the RTP tables are asked about
+  // noise SSRCs, including the ones seen once.
+  for (const bool validate : {true, false}) {
+    const std::string config = validate ? "" : "validate=false: ";
+    rtcc::dpi::ScanOptions anchored;
+    anchored.use_anchor_prefilter = true;
+    anchored.validate = validate;
+    rtcc::dpi::ScanOptions naive = anchored;
+    naive.use_anchor_prefilter = false;
+    const rtcc::dpi::ScanningDpi anchored_dpi(anchored);
+    const rtcc::dpi::ScanningDpi naive_dpi(naive);
+    rtcc::dpi::PipelineCounters anchored_nodes;
+    rtcc::dpi::PipelineCounters naive_nodes;
+    const auto a = anchored_dpi.analyze_batch(batch, &anchored_nodes);
+    const auto b = naive_dpi.analyze_batch(batch, &naive_nodes);
+    if (auto err = compare_analyses(a, b, "anchored", "naive"))
+      return config + *err;
 
-  // Width sweep: intra-stream chunks must not change analyses or node
-  // counters, on either scan.
-  const struct {
-    const char* name;
-    const rtcc::dpi::ScanningDpi& dpi;
-    const std::vector<rtcc::dpi::DatagramAnalysis>& serial;
-    const rtcc::dpi::PipelineCounters& serial_nodes;
-  } scans[] = {{"anchored", anchored_dpi, a, anchored_nodes},
-               {"naive", naive_dpi, b, naive_nodes}};
-  for (const auto& scan : scans) {
-    for (const std::size_t width : kDpiWidthSweep) {
-      rtcc::dpi::PipelineCounters nodes;
-      const auto wide = scan.dpi.analyze_batch(batch, &nodes, width);
-      const std::string wide_name = "width " + std::to_string(width);
-      if (auto err = compare_analyses(scan.serial, wide, "width 1",
-                                      wide_name.c_str()))
-        return std::string(scan.name) + " width sweep: " + *err;
-      if (nodes != scan.serial_nodes)
-        return std::string(scan.name) + " width sweep: width 1 vs " +
-               wide_name + " disagree on node counters";
+    // Width sweep: intra-stream chunks must not change analyses or node
+    // counters, on either scan.
+    const struct {
+      const char* name;
+      const rtcc::dpi::ScanningDpi& dpi;
+      const std::vector<rtcc::dpi::DatagramAnalysis>& serial;
+      const rtcc::dpi::PipelineCounters& serial_nodes;
+    } scans[] = {{"anchored", anchored_dpi, a, anchored_nodes},
+                 {"naive", naive_dpi, b, naive_nodes}};
+    for (const auto& scan : scans) {
+      for (const std::size_t width : kDpiWidthSweep) {
+        rtcc::dpi::PipelineCounters nodes;
+        const auto wide = scan.dpi.analyze_batch(batch, &nodes, width);
+        const std::string wide_name = "width " + std::to_string(width);
+        if (auto err = compare_analyses(scan.serial, wide, "width 1",
+                                        wide_name.c_str()))
+          return config + scan.name + " width sweep: " + *err;
+        if (nodes != scan.serial_nodes)
+          return config + scan.name + " width sweep: width 1 vs " +
+                 wide_name + " disagree on node counters";
+      }
     }
   }
   return std::nullopt;

@@ -13,7 +13,8 @@
 //                              all-offsets oracle, byte-identical; and
 //                              each scan at width 1 vs the chunked
 //                              widths kDpiWidthSweep (analyses and
-//                              node counters).
+//                              node counters); all of it with
+//                              validation on and off.
 //   4. check_arena_parity    — the arena's three producers (alloc,
 //                              append, adopt) build, decode and
 //                              serialize identically.

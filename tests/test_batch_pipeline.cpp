@@ -218,4 +218,104 @@ TEST(BatchPipeline, StreamEvidenceSpansChunks) {
   EXPECT_FALSE(found(lone[last - 5], rtcc::dpi::MessageKind::kQuic));
 }
 
+TEST(BatchPipeline, PartitionedSsrcLayoutsMatchAcrossWidths) {
+  // The stream-level RTP tables are built from SSRC top-byte
+  // partitions grouped on the pool. Three layouts stress that:
+  //   * every noise SSRC in one partition, which also holds a genuine
+  //     stream, so one task takes nearly all the pairs;
+  //   * genuine streams on the partition-edge SSRCs 0x00000000,
+  //     0x00FFFFFF, 0x01000000 and 0xFFFFFFFF;
+  //   * one genuine SSRC with packets on both sides of every chunk
+  //     boundary at every swept width.
+  // Each stream is 14 vectors, so every swept width splits it into that
+  // many chunks, and holds far more RTP candidates than the partition
+  // floor. Analyses must match width 1 and the naive scan at every
+  // width, with validation on and off (check_scan_equivalence).
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
+  constexpr std::size_t widest = *std::max_element(
+      rtcc::testkit::kDpiWidthSweep.begin(),
+      rtcc::testkit::kDpiWidthSweep.end());
+  constexpr std::size_t n = widest * ScanningDpi::kMinChunkVectors * bsz;
+
+  const auto rtp_header = [](Bytes& b, std::uint32_t ssrc,
+                             std::uint16_t seq) {
+    const Bytes h = {0x80,
+                     0x60,
+                     static_cast<std::uint8_t>(seq >> 8),
+                     static_cast<std::uint8_t>(seq),
+                     0x00,
+                     0x00,
+                     static_cast<std::uint8_t>(seq >> 8),
+                     static_cast<std::uint8_t>(seq),
+                     static_cast<std::uint8_t>(ssrc >> 24),
+                     static_cast<std::uint8_t>(ssrc >> 16),
+                     static_cast<std::uint8_t>(ssrc >> 8),
+                     static_cast<std::uint8_t>(ssrc)};
+    std::copy(h.begin(), h.end(), b.begin());
+  };
+  // Noise whose only RTP look-alikes are fake headers every 12 bytes
+  // with SSRC top byte 0x5A: every other byte is below 0x40, so no
+  // other offset starts an RTP candidate.
+  const auto one_partition_noise = [](rtcc::util::Rng& rng, std::size_t len) {
+    Bytes b(len);
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.below(0x40));
+    for (std::size_t at = 0; at + 12 <= len; at += 12) {
+      b[at] = 0x80;
+      b[at + 8] = 0x5A;
+    }
+    return b;
+  };
+  const auto random_noise = [](rtcc::util::Rng& rng, std::size_t len) {
+    return rng.bytes(len);
+  };
+
+  struct Layout {
+    const char* name;
+    std::vector<std::uint32_t> ssrcs;  // genuine, in turn
+    std::size_t every;                 // one genuine packet per `every`
+    Bytes (*noise)(rtcc::util::Rng&, std::size_t);
+  };
+  const Layout layouts[] = {
+      {"one noise partition", {0x5A000001}, 4, +one_partition_noise},
+      {"edge SSRCs",
+       {0x00000000, 0x00FFFFFF, 0x01000000, 0xFFFFFFFF},
+       5,
+       +random_noise},
+      {"spans every chunk boundary", {0xCAFEF00D}, 3, +random_noise},
+  };
+  for (const Layout& layout : layouts) {
+    SCOPED_TRACE(layout.name);
+    rtcc::util::Rng rng(0x9a27);
+    std::vector<Bytes> payloads;
+    std::vector<std::uint16_t> seq(layout.ssrcs.size(), 100);
+    std::vector<std::size_t> genuine;  // datagram -> index into ssrcs
+    for (std::size_t i = 0; i < n; ++i) {
+      Bytes b = layout.noise(rng, 48 + rng.below(48));
+      if (i % layout.every == 0) {
+        const std::size_t k = (i / layout.every) % layout.ssrcs.size();
+        rtp_header(b, layout.ssrcs[k], seq[k]++);
+        genuine.push_back(i);
+      }
+      payloads.push_back(std::move(b));
+    }
+
+    const auto err = rtcc::testkit::check_scan_equivalence(payloads);
+    EXPECT_FALSE(err.has_value()) << *err;
+
+    const auto out = ScanningDpi().analyze_batch(batch_of(payloads));
+    std::uint64_t candidates = 0;
+    for (const auto& a : out) candidates += a.candidates;
+    EXPECT_GE(candidates, 16 * ScanningDpi::kPartitionMinPairs);
+    for (const std::size_t i : genuine) {
+      ASSERT_FALSE(out[i].messages.empty()) << i;
+      const auto& m = out[i].messages.front();
+      EXPECT_EQ(m.offset, 0u) << i;
+      ASSERT_TRUE(m.rtp.has_value()) << i;
+      EXPECT_EQ(m.rtp->ssrc,
+                layout.ssrcs[(i / layout.every) % layout.ssrcs.size()])
+          << i;
+    }
+  }
+}
+
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "dpi/scanning_dpi.hpp"
 #include "dpi/strict_dpi.hpp"
+#include "net/packet_batch.hpp"
 #include "util/rng.hpp"
 
 namespace rtcc::dpi {
@@ -280,6 +281,128 @@ TEST(ScanningDpi, ValidationDisabledKeepsCandidates) {
   auto out = ScanningDpi(no_validate).analyze_stream(f.datagrams());
   EXPECT_FALSE(out[0].messages.empty());
   EXPECT_GE(out[0].candidates, 1u);
+}
+
+/// Writes a bare RTP header at `at`: version 2, PT 0, no CSRCs,
+/// extension or padding, timestamp 0. With the small SSRCs and sequence
+/// numbers below, every byte after the first is under 0x40, so no other
+/// offset starts a candidate of any protocol.
+void put_bare_rtp(Bytes& b, std::size_t at, std::uint32_t ssrc,
+                  std::uint16_t seq) {
+  b[at] = 0x80;
+  b[at + 2] = static_cast<std::uint8_t>(seq >> 8);
+  b[at + 3] = static_cast<std::uint8_t>(seq);
+  for (int i = 0; i < 4; ++i)
+    b[at + 8 + i] = static_cast<std::uint8_t>(ssrc >> (24 - 8 * i));
+}
+
+TEST(ScanningDpi, OverlapDominanceArithmetic) {
+  // Two RTP candidates in one datagram overlap, and the one whose SSRC
+  // support is 4x below the other's is dropped: support(n) > 4 *
+  // support(c). Each pair datagram holds a candidate at offset 0 and
+  // one at offset 20; each SSRC's other packets are alone in theirs,
+  // spread over the four chunks of a width-4 call. Empty datagrams fill
+  // the stream to 8 vectors.
+  //   S1 (support 1) beside A (4): 4 > 4 is false, S1 stays.
+  //   S2 (support 1) beside B (5): 5 > 4, S2 goes.
+  //   P  (support 2) beside Q (8): 8 > 8 is false, P stays.
+  //   R  (support 2) beside T (9): 9 > 8, R goes.
+  // S1 and S2 are seen once, so the RTP tables do not hold them; their
+  // support must still read 1, not 0 (which would drop S1).
+  enum : std::uint32_t {
+    kS1 = 0x01010101, kA = 0x02020202, kS2 = 0x03030303, kB = 0x04040404,
+    kP = 0x05050505, kQ = 0x06060606, kR = 0x07070707, kT = 0x08080808,
+  };
+  constexpr std::size_t n = 8 * rtcc::net::kBatchSize;
+  std::vector<Bytes> payloads(n);
+  const auto add_pair = [&](std::size_t i, std::uint32_t first,
+                            std::uint32_t second) {
+    payloads[i].assign(40, 0);
+    put_bare_rtp(payloads[i], 0, first, 1);
+    put_bare_rtp(payloads[i], 20, second, 1);
+  };
+  // 24 lone packets, 71 datagrams apart from 300 on: every chunk of
+  // the width-4 call (512 datagrams each) holds some.
+  std::size_t next_single = 300;
+  const auto add_singles = [&](std::uint32_t ssrc, std::uint16_t count) {
+    for (std::uint16_t seq = 2; seq < 2 + count; ++seq) {
+      Bytes& b = payloads.at(next_single);
+      next_single += 71;
+      b.assign(32, 0);
+      put_bare_rtp(b, 0, ssrc, seq);
+    }
+  };
+  add_pair(10, kS1, kA);
+  add_singles(kA, 3);
+  add_pair(20, kS2, kB);
+  add_singles(kB, 4);
+  add_pair(30, kP, kQ);
+  add_singles(kP, 1);
+  add_singles(kQ, 7);
+  add_pair(40, kR, kT);
+  add_singles(kR, 1);
+  add_singles(kT, 8);
+
+  rtcc::net::PacketBatch batch;
+  for (std::size_t i = 0; i < n; ++i)
+    batch.push(BytesView{payloads[i]}, static_cast<double>(i) * 0.01, 0);
+
+  struct Expect {
+    std::size_t datagram;
+    std::uint32_t ssrc;
+    std::size_t offset;
+  };
+  ScanOptions no_validate;
+  no_validate.validate = false;
+  ScanOptions support_one;
+  support_one.min_ssrc_support = 1;
+  const struct {
+    const char* name;
+    ScanOptions opts;
+    std::vector<Expect> pairs;
+  } configs[] = {
+      // Every candidate is validated; only dominance drops S2 and R.
+      {"validate=false", no_validate,
+       {{10, kS1, 0}, {20, kB, 20}, {30, kP, 0}, {40, kT, 20}}},
+      // A lone packet never shows continuity, so S1 and S2 fail
+      // validation; every other SSRC's sequence numbers are adjacent.
+      {"min_ssrc_support=1", support_one,
+       {{10, kA, 20}, {20, kB, 20}, {30, kP, 0}, {40, kT, 20}}},
+  };
+  for (const auto& config : configs) {
+    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(config.name) + " width " +
+                   std::to_string(width));
+      const auto out =
+          ScanningDpi(config.opts).analyze_batch(batch, nullptr, width);
+      ASSERT_EQ(out.size(), n);
+      std::size_t checked = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (payloads[i].empty()) {
+          EXPECT_EQ(out[i].candidates, 0u) << i;
+          continue;
+        }
+        ++checked;
+        const bool is_pair = payloads[i].size() == 40;
+        EXPECT_EQ(out[i].candidates, is_pair ? 2u : 1u) << i;
+        Expect e{i, rtcc::util::load_be32(payloads[i].data() + 8), 0};
+        for (const Expect& p : config.pairs)
+          if (p.datagram == i) e = p;
+        ASSERT_EQ(out[i].messages.size(), 1u) << i;
+        const ExtractedMessage& m = out[i].messages.front();
+        EXPECT_EQ(m.kind, MessageKind::kRtp) << i;
+        EXPECT_EQ(m.offset, e.offset) << i;
+        EXPECT_EQ(m.length, payloads[i].size() - e.offset) << i;
+        ASSERT_TRUE(m.rtp.has_value()) << i;
+        EXPECT_EQ(m.rtp->ssrc, e.ssrc) << i;
+        EXPECT_EQ(out[i].klass, e.offset == 0
+                                    ? DatagramClass::kStandard
+                                    : DatagramClass::kProprietaryHeader)
+            << i;
+      }
+      EXPECT_EQ(checked, 4u + 3 + 4 + 1 + 7 + 1 + 8);
+    }
+  }
 }
 
 TEST(ScanningDpi, CandidateCountsReported) {
