@@ -1,6 +1,11 @@
 // Ablation for §4.1's motivation: a conventional offset-zero strict
-// DPI (Peafowl-style) vs the paper's scanning DPI, plus a no-validation
-// mode showing how many raw candidates stage-2 validation discards.
+// DPI (Peafowl-style) vs the paper's scanning DPI. Per application,
+// summed over the three network setups, it prints the RTC datagrams,
+// the messages each DPI extracts, the scanning DPI's raw candidate
+// count (the validating DPI's DatagramAnalysis::candidates, so
+// candidates minus messages is what stage-2 validation and overlap
+// resolution discarded), and the strict DPI's messages as a share of
+// the scanning DPI's.
 #include <cstdio>
 
 #include "dpi/strict_dpi.hpp"

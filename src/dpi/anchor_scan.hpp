@@ -68,7 +68,7 @@ struct AnchorHit {
 /// the staged prefilter/scan node pair: both must agree byte-for-byte
 /// on which offsets the kernel covers and which fall to scalar code.
 struct AnchorPlan {
-  std::size_t limit = 0;     ///< scan end (exclusive): min(k + 1, n)
+  std::size_t limit = 0;     ///< scan end (exclusive): scan_limit(n, opts)
   std::size_t fast_end = 0;  ///< bound-check-free end: >= 20 bytes remain
   std::size_t blocks = 0;    ///< 64-offset kernel blocks, starting at offset 1
 };
@@ -83,7 +83,7 @@ constexpr std::size_t kMaxKernelPayload = 0xFFFF - 56;
 [[nodiscard]] inline AnchorPlan anchor_plan(std::size_t n,
                                             const ScanOptions& opts) {
   AnchorPlan pl;
-  pl.limit = std::min(opts.max_offset + 1, n);
+  pl.limit = scan_limit(n, opts);
   pl.fast_end = std::min(
       pl.limit, n >= rtcc::proto::stun::kHeaderSize
                     ? n - rtcc::proto::stun::kHeaderSize + 1
@@ -167,7 +167,7 @@ inline void walk_anchor_masks(const std::uint8_t* p, std::size_t n,
 
 /// Visitor form of the scan: invokes fn(offset, mask) for each anchored
 /// offset of `payload`, in increasing offset order, scanning offsets
-/// [0, min(max_offset + 1, payload.size())). Honours the per-protocol
+/// [0, scan_limit(payload.size(), opts)). Honours the per-protocol
 /// scan_* switches in `opts`. The hot path in ScanningDpi uses this
 /// directly — on media payloads a sizeable fraction of offsets anchor
 /// as RTP, so materialising a hit list would cost more than the sniffs

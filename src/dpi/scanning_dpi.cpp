@@ -43,11 +43,11 @@ namespace quic = rtcc::proto::quic;
 
 /// Lightweight candidate: just what validation and the cover walk need;
 /// the full (allocating) parse happens once per *accepted* candidate.
-/// RTP's header pattern matches ~25% of random offsets, so on a relay
-/// media stream this array is by far the scan's largest data structure
-/// — it is kept to 20 bytes by folding the per-protocol sniff details
-/// (RTP seq) into the support tables at emission time instead of
-/// carrying them per candidate.
+/// Extraction stores STUN, ChannelData, RTCP and QUIC hits this way, but
+/// not RTP's: its header pattern matches ~25% of random offsets, nearly
+/// all of them noise, so an RTP hit is kept only as its 8-byte packed
+/// pair (ScanState::rtp_pairs), and phase 3 builds a Candidate from a
+/// pair only when its SSRC is valid (every pair under validate = false).
 struct Candidate {
   static constexpr std::uint8_t kValidated = 0x01;
   static constexpr std::uint8_t kQuicLong = 0x02;
@@ -72,22 +72,45 @@ struct Candidate {
 /// pairs, small enough to group in cache.
 constexpr std::size_t kRtpPartitions = 256;
 
-/// Everything the extraction nodes append to: the candidate list plus
-/// the support tables (Algorithm 1's validation inputs), one state per
-/// chunk. The tables are filled *at emission* — the old separate walk
-/// over the candidate array to build them re-read tens of MB per relay
-/// stream. The RTP table is the big one — the scan yields one noise
-/// candidate per ~25% of offsets with mostly-unique fake SSRCs — and is
-/// kept flat: (ssrc, seq) packed into one u64, plus the pair count of
-/// each SSRC top byte, which lays out phase 2's partitions and then
-/// becomes this chunk's scatter cursor into them. A map of
-/// per-SSRC vectors here costs an allocation per noise SSRC and
-/// dominates validation time. The small tables (channels, RTCP SSRCs)
-/// stay hashed; they hold counts only, so the stream's tables are the
-/// sums of its chunks'.
+/// An RTP hit, packed into one u64: SSRC in bits 32-63 (its top byte,
+/// bits 56-63, names the phase 2 partition), sequence number in bits
+/// 16-31, scan offset in bits 0-15. Offsets fit because the scan stops
+/// at kMaxScanOffset. Sorting the packed values groups by SSRC, then
+/// orders by seq, which is all phase 2 reads.
+static_assert(kMaxScanOffset <= 0xFFFF, "RTP pairs pack offsets in 16 bits");
+
+std::uint64_t pack_rtp(std::uint32_t ssrc, std::uint16_t seq,
+                       std::uint32_t offset) {
+  return std::uint64_t{ssrc} << 32 | std::uint64_t{seq} << 16 | offset;
+}
+std::uint32_t pair_ssrc(std::uint64_t x) {
+  return static_cast<std::uint32_t>(x >> 32);
+}
+std::uint16_t pair_seq(std::uint64_t x) {
+  return static_cast<std::uint16_t>(x >> 16);
+}
+std::uint32_t pair_offset(std::uint64_t x) {
+  return static_cast<std::uint16_t>(x);
+}
+
+/// Everything the extraction nodes append to: the non-RTP candidates,
+/// the RTP pairs and the support tables (Algorithm 1's validation
+/// inputs), one state per chunk. The tables are filled *at emission* —
+/// the old separate walk over the candidate array to build them re-read
+/// tens of MB per relay stream. RTP is the big one — the scan yields one
+/// noise hit per ~25% of offsets with mostly-unique fake SSRCs — and is
+/// kept flat: one packed pair per hit in emission order, the number of
+/// hits in each datagram of the chunk (phase 3 finds a datagram's pairs
+/// by it), and the pair count of each SSRC top byte, which lays out
+/// phase 2's partitions and then becomes this chunk's scatter cursor
+/// into them. A map of per-SSRC vectors here costs an allocation per
+/// noise SSRC and dominates validation time. The small tables
+/// (channels, RTCP SSRCs) stay hashed; they hold counts only, so the
+/// stream's tables are the sums of its chunks'.
 struct ScanState {
-  std::vector<Candidate> candidates;
-  std::vector<std::uint64_t> rtp_pairs;  // ssrc << 16 | seq
+  std::vector<Candidate> candidates;     // STUN/ChannelData/RTCP/QUIC
+  std::vector<std::uint64_t> rtp_pairs;  // pack_rtp, emission order
+  std::vector<std::uint32_t> rtp_hits;   // per datagram of the chunk
   std::array<std::size_t, kRtpPartitions> rtp_partition_pairs{};
   std::unordered_map<std::uint16_t, int> channel_support;
   std::unordered_map<std::uint32_t, int> rtcp_ssrc_support;
@@ -99,6 +122,7 @@ struct ScanState {
   void reset() {
     candidates.clear();
     rtp_pairs.clear();
+    rtp_hits.clear();
     rtp_partition_pairs.fill(0);
     channel_support.clear();
     rtcp_ssrc_support.clear();
@@ -183,15 +207,15 @@ std::uint16_t seq_distance(std::uint16_t a, std::uint16_t b) {
   return std::min(d1, d2);
 }
 
-/// Groups one partition's packed (ssrc << 16 | seq) keys by SSRC,
-/// ascending, in place; `tmp` is scratch. Below kPartitionMinPairs a
-/// comparison sort is cheapest. A larger partition shares its SSRC top
-/// byte (a stream with fewer pairs is one partition, and a partition
-/// holds no more than its stream), so two 12-bit LSD counting passes
-/// over the low 24 SSRC bits group it, with a 4096-bucket table that
-/// stays in L1. Sequence numbers inside a group stay in pass order: the
-/// continuity walk sorts the few groups that clear the support gate
-/// (real streams) and never reads seq order inside noise groups.
+/// Groups one partition's packed pairs by SSRC, ascending, in place;
+/// `tmp` is scratch. Below kPartitionMinPairs a comparison sort is
+/// cheapest. A larger partition shares its SSRC top byte (a stream with
+/// fewer pairs is one partition, and a partition holds no more than its
+/// stream), so two 12-bit LSD counting passes over the low 24 SSRC bits
+/// (bits 32-55) group it, with a 4096-bucket table that stays in L1.
+/// Pairs inside a group stay in pass order: the continuity walk sorts
+/// the few groups that clear the support gate (real streams) and never
+/// reads seq order inside noise groups.
 void group_partition(std::uint64_t* v, std::size_t n,
                      std::vector<std::uint64_t>& tmp) {
   if (n < ScanningDpi::kPartitionMinPairs) {
@@ -203,7 +227,7 @@ void group_partition(std::uint64_t* v, std::size_t n,
   if (tmp.size() < n) tmp.resize(n);
   std::uint64_t* src = v;
   std::uint64_t* dst = tmp.data();
-  for (int shift = 16; shift < 40; shift += kDigitBits) {
+  for (int shift = 32; shift < 56; shift += kDigitBits) {
     std::array<std::uint32_t, kDigitMask + 1> pos{};
     for (std::size_t i = 0; i < n; ++i) ++pos[(src[i] >> shift) & kDigitMask];
     std::uint32_t running = 0;
@@ -316,20 +340,17 @@ RTCC_ALWAYS_INLINE void emit_quic(BytesView at, std::uint32_t di, std::uint32_t 
   }
 }
 
-RTCC_ALWAYS_INLINE void emit_rtp(BytesView at, std::uint32_t di, std::uint32_t off,
-              ScanState& st) {
+/// RTP stores its hit as a pair only; the caller counts the datagram's
+/// hits from the growth of rtp_pairs.
+RTCC_ALWAYS_INLINE void emit_rtp(BytesView at, std::uint32_t off,
+                                 ScanState& st) {
   if (auto s = sniff_rtp(at)) {
     // Skip byte patterns that are really RTCP (PT 72-79 with the marker
-    // bit corresponds to RTCP types 200-207).
+    // bit corresponds to RTCP types 200-207). This also means no offset
+    // holds both an RTP and an RTCP hit.
     const std::uint8_t pt_byte = at[1];
     if (pt_byte >= 0xC8 && pt_byte <= 0xCF) return;
-    Candidate& c = st.candidates.emplace_back();
-    c.kind = MessageKind::kRtp;
-    c.datagram = di;
-    c.offset = off;
-    c.length = static_cast<std::uint32_t>(at.size());
-    c.ssrc = s->ssrc;
-    st.rtp_pairs.push_back(std::uint64_t{s->ssrc} << 16 | s->seq);
+    st.rtp_pairs.push_back(pack_rtp(s->ssrc, s->seq, off));
     ++st.rtp_partition_pairs[s->ssrc >> 24];
   }
 }
@@ -343,7 +364,7 @@ RTCC_ALWAYS_INLINE void emit_at(BytesView payload, std::uint32_t di,
                                 const ScanOptions& opts, ScanState& st) {
   const BytesView at = payload.subspan(off);
   if (mask == anchor::kRtp) {  // ~25% of offsets: keep it lean
-    emit_rtp(at, di, off, st);
+    emit_rtp(at, off, st);
     return;
   }
   if (mask & anchor::kStun) emit_stun(at, di, off, st);
@@ -351,14 +372,14 @@ RTCC_ALWAYS_INLINE void emit_at(BytesView payload, std::uint32_t di,
   if (mask & anchor::kRtcp) emit_rtcp(at, di, off, opts.max_rtcp_trailing, st);
   if (mask & (anchor::kQuicLong | anchor::kQuicShort))
     emit_quic(at, di, off, st);
-  if (mask & anchor::kRtp) emit_rtp(at, di, off, st);
+  if (mask & anchor::kRtp) emit_rtp(at, off, st);
 }
 
 /// Naive oracle extraction for one datagram: every protocol sniff at
 /// every offset 0..k.
 void extract_naive(BytesView payload, std::uint32_t di,
                    const ScanOptions& opts, ScanState& st) {
-  const std::size_t limit = std::min(opts.max_offset + 1, payload.size());
+  const std::size_t limit = scan_limit(payload.size(), opts);
   for (std::size_t i = 0; i < limit; ++i) {
     const BytesView at = payload.subspan(i);
     const auto off = static_cast<std::uint32_t>(i);
@@ -368,15 +389,18 @@ void extract_naive(BytesView payload, std::uint32_t di,
     }
     if (opts.scan_rtcp) emit_rtcp(at, di, off, opts.max_rtcp_trailing, st);
     if (opts.scan_quic) emit_quic(at, di, off, st);
-    if (opts.scan_rtp) emit_rtp(at, di, off, st);
+    if (opts.scan_rtp) emit_rtp(at, off, st);
   }
 }
 
 
-/// Scanned offsets per candidate the buffers are sized for. Relay media
-/// yields one candidate per 9-17 scanned offsets (nearly all of them
-/// RTP header look-alikes); a denser stream grows its buffers as usual.
-constexpr std::size_t kOffsetsPerCandidate = 8;
+/// Scanned offsets per RTP pair, and per other candidate, the chunk
+/// buffers are sized for (each plus one per datagram). Relay media
+/// yields one RTP header look-alike per 9-11 scanned offsets, and well
+/// under two other candidates per datagram; a denser stream grows its
+/// buffers as usual.
+constexpr std::size_t kOffsetsPerRtpPair = 8;
+constexpr std::size_t kOffsetsPerCandidate = 64;
 
 /// Per-vector scratch for the node graph, reused across vectors (and,
 /// being thread_local at the call site, across calls) so the
@@ -396,11 +420,16 @@ void extract_chunk(const rtcc::net::PacketBatch& packets, std::size_t begin,
                    std::size_t end, const ScanOptions& opts, ScanState& st,
                    PipelineCounters* counters) {
   namespace net = rtcc::net;
+  st.rtp_hits.assign(end - begin, 0);
   if (!opts.use_anchor_prefilter) {
     // Oracle path: every protocol sniff at every offset 0..k.
-    for (std::size_t di = begin; di < end; ++di)
+    for (std::size_t di = begin; di < end; ++di) {
+      const std::size_t pairs = st.rtp_pairs.size();
       extract_naive(packets.payload(di), static_cast<std::uint32_t>(di), opts,
                     st);
+      st.rtp_hits[di - begin] =
+          static_cast<std::uint32_t>(st.rtp_pairs.size() - pairs);
+    }
     return;
   }
   // Node graph: demux → prefilter → scan, one fixed-size vector at a
@@ -476,10 +505,11 @@ void extract_chunk(const rtcc::net::PacketBatch& packets, std::size_t begin,
     // Scan node: walk the staged masks (applying the exact anchor
     // rules the approximate stun lanes still need) and run the full
     // protocol sniffs at each anchored offset.
-    const std::size_t before = st.candidates.size();
+    const std::size_t before = st.candidates.size() + st.rtp_pairs.size();
     for (std::size_t si = 0; si < scratch.scannable.size(); ++si) {
       const std::uint32_t d32 = scratch.scannable[si];
       const BytesView payload = packets.payload(d32);
+      const std::size_t pairs = st.rtp_pairs.size();
       const auto emit = [&](std::uint32_t off, std::uint8_t mask) {
         emit_at(payload, d32, off, mask, opts, st);
       };
@@ -489,11 +519,14 @@ void extract_chunk(const rtcc::net::PacketBatch& packets, std::size_t begin,
                                emit);
       else
         for_each_anchor(payload, opts, emit);
+      st.rtp_hits[d32 - begin] =
+          static_cast<std::uint32_t>(st.rtp_pairs.size() - pairs);
     }
     if (counters != nullptr) {
       ++counters->scan.vectors;
       counters->scan.packets += scratch.scannable.size();
-      counters->scan.suspended += st.candidates.size() - before;
+      counters->scan.suspended +=
+          st.candidates.size() + st.rtp_pairs.size() - before;
     }
   }
 }
@@ -504,7 +537,7 @@ void extract_chunk(const rtcc::net::PacketBatch& packets, std::size_t begin,
 /// binary search by every chunk. An SSRC seen once is left out — on
 /// relay media that is nearly every noise SSRC — and support_of gives
 /// it 1. That is exact: support_of is only asked about the SSRC of an
-/// emitted RTP candidate, and every such candidate pushed a pair.
+/// RTP pair.
 struct RtpTables {
   std::vector<std::uint32_t> ssrcs, support, valid;
 
@@ -525,15 +558,15 @@ struct RtpTables {
 };
 
 /// Walks one grouped partition's SSRC groups into `t`, in ascending
-/// SSRC order. Each group that clears the support gate has its keys
-/// sorted (equal-SSRC keys order by their low 16 bits, i.e. by seq)
-/// for the continuity check.
+/// SSRC order. Each group that clears the support gate has its pairs
+/// sorted (equal-SSRC pairs order by seq, then offset) for the
+/// continuity check.
 void append_rtp_groups(std::uint64_t* v, std::size_t n,
                        std::size_t min_ssrc_support, RtpTables& t) {
   for (std::size_t lo = 0; lo < n;) {
-    const auto ssrc = static_cast<std::uint32_t>(v[lo] >> 16);
+    const std::uint32_t ssrc = pair_ssrc(v[lo]);
     std::size_t hi = lo + 1;
-    while (hi < n && (v[hi] >> 16) == ssrc) ++hi;
+    while (hi < n && pair_ssrc(v[hi]) == ssrc) ++hi;
     const std::size_t support = hi - lo;
     if (support >= 2) {
       t.ssrcs.push_back(ssrc);
@@ -550,8 +583,8 @@ void append_rtp_groups(std::uint64_t* v, std::size_t n,
       // `ssrcs`.
       std::size_t close = 0, distinct = 1;
       for (std::size_t i = lo + 1; i < hi; ++i) {
-        const auto seq = static_cast<std::uint16_t>(v[i]);
-        const auto prev = static_cast<std::uint16_t>(v[i - 1]);
+        const std::uint16_t seq = pair_seq(v[i]);
+        const std::uint16_t prev = pair_seq(v[i - 1]);
         // A zero gap is a duplicate, not adjacency: constant header
         // bytes masquerading as RTP repeat the same few (ssrc, seq)
         // pairs, and duplicates must not count as continuity evidence.
@@ -572,7 +605,8 @@ void append_rtp_groups(std::uint64_t* v, std::size_t n,
 ///      counts lay the partitions out in `pairs`, partition-major and
 ///      chunk-minor (one partition below kPartitionMinPairs pairs, so
 ///      a short flow never lays out 256 of them).
-///   2. Each chunk scatters its pairs there, one task per chunk.
+///   2. Each chunk scatters its pairs there, one task per chunk, and
+///      keeps its own emission-order pairs for phase 3.
 ///   3. Each task groups a contiguous range of partitions, about equal
 ///      in pairs, in place and walks them into its slice of the tables.
 ///   4. The slices join in partition order.
@@ -610,10 +644,7 @@ RtpTables build_rtp_tables(std::size_t chunks, const StateFn& state,
     ScanState& st = state(c);
     auto& cursor = st.rtp_partition_pairs;
     for (const std::uint64_t x : st.rtp_pairs)
-      pairs[cursor[(x >> 40) & part_mask]++] = x;
-    // Chunk 0's buffer is the calling thread's, kept warm for the next
-    // call; the others are done.
-    if (c != 0) std::vector<std::uint64_t>().swap(st.rtp_pairs);
+      pairs[cursor[(x >> 56) & part_mask]++] = x;
   });
 
   // Task t groups partitions [task_begin[t], task_begin[t + 1]): the
@@ -652,90 +683,98 @@ int support_count(const Table& table, Key key) {
   return it == table.end() ? 0 : it->second;
 }
 
-/// Phase 3, one chunk: validates the chunk's candidates in place, then
-/// resolves and parses datagrams [begin, end) into out[begin, end).
+/// Phase 3, one chunk: validates the chunk's candidates and RTP pairs,
+/// then resolves and parses datagrams [begin, end) into out[begin, end).
 /// `stream` holds the summed support tables and `rtp` the phase-2 RTP
 /// tables; both are shared by every chunk and only read here.
 void resolve_chunk(const rtcc::net::PacketBatch& packets, std::size_t begin,
-                   std::size_t end, std::vector<Candidate>& candidates,
+                   std::size_t end, const ScanState& chunk,
                    const ScanState& stream, const RtpTables& rtp,
                    const ScanOptions& opts,
                    std::vector<DatagramAnalysis>& out) {
-  // Per-candidate accept/reject (Algorithm 1, lines 14-19), applied
-  // inside the per-datagram range walk below (fused with the filter:
-  // the candidate array exceeds L2 on relay-scale batches, so a
-  // separate flag pass would stream the whole array through the cache
-  // twice).
-  const auto validate_candidate = [&](Candidate& c) {
-    if (!opts.validate) {
-      c.flags |= Candidate::kValidated;
-      return;
-    }
+  // Per-candidate accept/reject for the non-RTP kinds (Algorithm 1,
+  // lines 14-19), applied inside the per-datagram merge below; an RTP
+  // pair is accepted there when its SSRC is valid.
+  const auto accepts = [&](const Candidate& c) {
+    if (!opts.validate) return true;
     switch (c.kind) {
       case MessageKind::kStun:
         // Magic-cookie messages and exact-fit classic messages are
         // structurally sound. Transaction pairing raises confidence but
         // unanswered requests must still be extracted — they are the
         // non-compliance evidence (e.g. FaceTime §5.2.1).
-        c.flags |= Candidate::kValidated;
-        break;
+        return true;
       case MessageKind::kChannelData: {
         // A genuine ChannelData message extends to the datagram end
         // (optionally via padding), and real TURN channels repeat the
         // same channel number stream-wide; requiring both keeps random
         // byte runs inside media payloads from matching.
         const std::size_t remaining = packets.len[c.datagram] - c.offset;
-        if (std::size_t{c.length} == remaining &&
-            support_count(stream.channel_support, c.channel) >= 2)
-          c.flags |= Candidate::kValidated;
-        break;
+        return std::size_t{c.length} == remaining &&
+               support_count(stream.channel_support, c.channel) >= 2;
       }
-      case MessageKind::kRtp:
-        if (rtp.ssrc_valid(c.ssrc)) c.flags |= Candidate::kValidated;
-        break;
       case MessageKind::kRtcp: {
         // Cross-validate against known RTP streams, or require repeated
         // appearances of the same sender SSRC within this stream
         // (covers RTCP-only streams and Discord's SSRC=0 usage).
         const std::size_t remaining = packets.len[c.datagram] - c.offset;
-        const bool extent_ok = std::size_t{c.length} == remaining;
-        if (extent_ok && (rtp.ssrc_valid(c.ssrc) ||
-                          support_count(stream.rtcp_ssrc_support, c.ssrc) >= 2))
-          c.flags |= Candidate::kValidated;
-        break;
+        return std::size_t{c.length} == remaining &&
+               (rtp.ssrc_valid(c.ssrc) ||
+                support_count(stream.rtcp_ssrc_support, c.ssrc) >= 2);
       }
       case MessageKind::kQuic:
         // Long headers validate on version+structure; short headers
         // require the stream to have completed a long-header handshake.
-        if (c.quic_long() || stream.quic_long_support >= 2)
-          c.flags |= Candidate::kValidated;
-        break;
+        return c.quic_long() || stream.quic_long_support >= 2;
+      case MessageKind::kRtp:
+        break;  // RTP hits are pairs, never stored candidates
     }
+    return false;
   };
 
   // ---- Overlap resolution + full parse of accepted candidates ----
-  // Both extraction paths emit candidates in (datagram, offset,
-  // kind-rank) order — ascending offsets, and per offset the fixed
-  // STUN, ChannelData, RTCP, QUIC, RTP sequence — so the per-datagram
-  // groups below are contiguous ranges of `candidates`, already in the
-  // order the cover walk needs; no per-datagram sort or bucket vectors.
-  std::vector<Candidate*> cands;  // scratch, reused across datagrams
-  std::size_t range_begin = 0;
+  // Both extraction paths emit in (datagram, offset, kind-rank) order —
+  // ascending offsets, and per offset the fixed STUN, ChannelData,
+  // RTCP, QUIC, RTP sequence — so each datagram's candidates and its
+  // pairs (rtp_hits of them) are contiguous runs, each in offset order.
+  // Merging the two by offset, RTP last at an equal offset (no offset
+  // can hold both: RTP and RTCP split on the PT byte, every other kind
+  // on the first byte's top bits), rebuilds the emission order the
+  // cover walk needs; no per-datagram sort or bucket vectors.
+  const std::vector<Candidate>& candidates = chunk.candidates;
+  const std::vector<std::uint64_t>& pairs = chunk.rtp_pairs;
+  std::vector<Candidate> cands;  // scratch, reused across datagrams
+  std::size_t ci = 0, pi = 0;
 
   for (std::size_t di = begin; di < end; ++di) {
     auto& anal = out[di];
     anal.payload_len = packets.len[di];
-    std::size_t range_end = range_begin;
-    while (range_end < candidates.size() &&
-           candidates[range_end].datagram == di)
-      ++range_end;
-    anal.candidates = range_end - range_begin;
+    std::size_t c_end = ci;
+    while (c_end < candidates.size() && candidates[c_end].datagram == di)
+      ++c_end;
+    const std::size_t p_end = pi + chunk.rtp_hits[di - begin];
+    anal.candidates = (c_end - ci) + (p_end - pi);
     cands.clear();
-    for (std::size_t i = range_begin; i < range_end; ++i) {
-      validate_candidate(candidates[i]);
-      if (candidates[i].validated()) cands.push_back(&candidates[i]);
+    while (ci < c_end || pi < p_end) {
+      if (pi == p_end ||
+          (ci < c_end && candidates[ci].offset <= pair_offset(pairs[pi]))) {
+        const Candidate& c = candidates[ci++];
+        if (accepts(c)) {
+          cands.push_back(c);
+          cands.back().flags |= Candidate::kValidated;
+        }
+        continue;
+      }
+      const std::uint64_t x = pairs[pi++];
+      if (opts.validate && !rtp.ssrc_valid(pair_ssrc(x))) continue;
+      Candidate& c = cands.emplace_back();
+      c.kind = MessageKind::kRtp;
+      c.datagram = static_cast<std::uint32_t>(di);
+      c.offset = pair_offset(x);
+      c.length = anal.payload_len - c.offset;
+      c.ssrc = pair_ssrc(x);
+      c.flags = Candidate::kValidated;
     }
-    range_begin = range_end;
 
     // Overlap dominance: misaligned RTP candidates can slip past the
     // SSRC-support gate when their fake SSRC bytes partially coincide
@@ -743,52 +782,52 @@ void resolve_chunk(const rtcc::net::PacketBatch& packets, std::size_t begin,
     // timestamp byte with three real SSRC bytes). A candidate whose
     // SSRC has a small fraction of the support of an overlapping RTP
     // candidate is noise and must not shadow the genuine message.
-    for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-      Candidate* c = cands[ci];
-      if (c->kind != MessageKind::kRtp) continue;
-      for (std::size_t cj = 0; cj < cands.size(); ++cj) {
-        const Candidate* n = cands[cj];
-        if (ci == cj || n->kind != MessageKind::kRtp) continue;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      Candidate& c = cands[i];
+      if (c.kind != MessageKind::kRtp) continue;
+      for (std::size_t j = 0; j < cands.size(); ++j) {
+        const Candidate& n = cands[j];
+        if (i == j || n.kind != MessageKind::kRtp) continue;
         // Two RTP candidates in one datagram always overlap: each spans
         // the datagram remainder (RTP carries no length field).
-        if (rtp.support_of(n->ssrc) > 4 * rtp.support_of(c->ssrc)) {
-          c->flags &= static_cast<std::uint8_t>(~Candidate::kValidated);
+        if (rtp.support_of(n.ssrc) > 4 * rtp.support_of(c.ssrc)) {
+          c.flags &= static_cast<std::uint8_t>(~Candidate::kValidated);
           break;
         }
       }
     }
-    std::erase_if(cands, [](const Candidate* c) { return !c->validated(); });
+    std::erase_if(cands, [](const Candidate& c) { return !c.validated(); });
 
     std::size_t covered_until = 0;
-    for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-      Candidate* c = cands[ci];
-      if (c->offset < covered_until) continue;  // overlaps accepted msg
+    for (std::size_t k = 0; k < cands.size(); ++k) {
+      const Candidate& c = cands[k];
+      if (c.offset < covered_until) continue;  // overlaps accepted msg
 
-      std::size_t extent = c->length;
-      if (c->kind == MessageKind::kRtp) {
+      std::size_t extent = c.length;
+      if (c.kind == MessageKind::kRtp) {
         // RTP has no length field: by default it spans the datagram
         // remainder, but a later validated RTP candidate with the same
         // SSRC splits it (the Zoom two-RTP-messages-per-datagram
         // pattern, §5.3). Other candidate kinds never truncate RTP —
         // they are overwhelmingly scan noise inside the media payload.
-        extent = anal.payload_len - c->offset;
-        for (std::size_t cj = ci + 1; cj < cands.size(); ++cj) {
-          const Candidate* n = cands[cj];
-          if (n->kind == MessageKind::kRtp && n->ssrc == c->ssrc &&
-              n->offset > c->offset + 12) {
-            extent = n->offset - c->offset;
+        extent = anal.payload_len - c.offset;
+        for (std::size_t j = k + 1; j < cands.size(); ++j) {
+          const Candidate& n = cands[j];
+          if (n.kind == MessageKind::kRtp && n.ssrc == c.ssrc &&
+              n.offset > c.offset + 12) {
+            extent = n.offset - c.offset;
             break;
           }
         }
       }
 
-      const BytesView view = packets.payload(di).subspan(c->offset, extent);
+      const BytesView view = packets.payload(di).subspan(c.offset, extent);
       ExtractedMessage msg;
-      msg.kind = c->kind;
-      msg.offset = c->offset;
+      msg.kind = c.kind;
+      msg.offset = c.offset;
       msg.length = extent;
       bool ok = false;
-      switch (c->kind) {
+      switch (c.kind) {
         case MessageKind::kStun: {
           stun::ParseOptions po;
           po.require_magic_cookie = false;
@@ -834,7 +873,7 @@ void resolve_chunk(const rtcc::net::PacketBatch& packets, std::size_t begin,
         }
       }
       if (!ok) continue;
-      covered_until = c->offset + extent;
+      covered_until = c.offset + extent;
       anal.messages.push_back(std::move(msg));
     }
 
@@ -903,19 +942,18 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
   // outgrown copies in its own malloc arena, where no other thread's
   // allocations reuse them. Reserved pages that are never written cost
   // no memory, so the estimate errs high.
-  const auto size_hint = [&](std::size_t begin, std::size_t end) {
-    std::size_t offsets = 0;
-    for (std::size_t di = begin; di < end; ++di)
-      offsets += std::min<std::size_t>(packets.len[di],
-                                       options_.max_offset + 1);
-    return offsets / kOffsetsPerCandidate + (end - begin);
-  };
   for (std::size_t c = 0; c < chunks; ++c) {
     ScanState& st = state(c);
     st.reset();
-    const std::size_t hint = size_hint(chunk_begin(c), chunk_begin(c + 1));
-    if (st.candidates.capacity() < hint) st.candidates.reserve(hint);
-    if (st.rtp_pairs.capacity() < hint) st.rtp_pairs.reserve(hint);
+    const std::size_t begin = chunk_begin(c), end = chunk_begin(c + 1);
+    std::size_t offsets = 0;
+    for (std::size_t di = begin; di < end; ++di)
+      offsets += scan_limit(packets.len[di], options_);
+    const std::size_t pairs = offsets / kOffsetsPerRtpPair + (end - begin);
+    const std::size_t cands = offsets / kOffsetsPerCandidate + (end - begin);
+    if (st.rtp_pairs.capacity() < pairs) st.rtp_pairs.reserve(pairs);
+    if (st.candidates.capacity() < cands) st.candidates.reserve(cands);
+    if (st.rtp_hits.capacity() < end - begin) st.rtp_hits.reserve(end - begin);
   }
 
   // ---- Phase 1: candidate extraction, one chunk per task ----
@@ -952,7 +990,7 @@ std::vector<DatagramAnalysis> ScanningDpi::analyze_batch(
   std::vector<DatagramAnalysis> out(n_packets);
   run(chunks, [&](std::size_t c) {
     resolve_chunk(packets, chunk_begin(c), chunk_begin(c + 1),
-                  state(c).candidates, stream, rtp, options_, out);
+                  state(c), stream, rtp, options_, out);
   });
   return out;
 }

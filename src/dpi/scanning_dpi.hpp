@@ -21,6 +21,7 @@
 // at every width (DESIGN.md §6, "Intra-stream chunks").
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -32,7 +33,8 @@ namespace rtcc::dpi {
 
 struct ScanOptions {
   /// Maximum candidate-extraction offset k (§4.1.1; the paper found
-  /// k = 200 reproduces full-payload extraction on their dataset).
+  /// k = 200 reproduces full-payload extraction on their dataset). The
+  /// scan never goes past kMaxScanOffset, whatever this asks.
   std::size_t max_offset = 200;
   /// Which protocols to scan for. Defaults to all.
   bool scan_stun = true;
@@ -54,6 +56,19 @@ struct ScanOptions {
   /// both produce byte-identical output (tests/test_determinism.cpp).
   bool use_anchor_prefilter = true;
 };
+
+/// Largest offset the scan visits. Scan offsets are below the payload
+/// length and a UDP payload is at most 65,535 bytes, so the clamp
+/// changes nothing a capture can carry; it lets the scan pack a hit's
+/// offset into 16 bits (DESIGN.md §6, "Intra-stream chunks").
+inline constexpr std::size_t kMaxScanOffset = 0xFFFF;
+
+/// End (exclusive) of an n-byte payload's scanned offsets:
+/// min(min(max_offset, kMaxScanOffset) + 1, n).
+[[nodiscard]] inline std::size_t scan_limit(std::size_t n,
+                                            const ScanOptions& opts) {
+  return std::min(std::min(opts.max_offset, kMaxScanOffset) + 1, n);
+}
 
 /// One datagram handed to the DPI: payload bytes plus stream-relative
 /// metadata used by validation.
@@ -97,9 +112,9 @@ class ScanningDpi {
   /// pool round trip.
   static constexpr std::size_t kMinChunkVectors = 2;
 
-  /// Fewest RTP candidates (one (ssrc, seq) pair each) for which the
-  /// stream-level validation step partitions the pairs by SSRC top
-  /// byte; a stream with fewer keeps them in one partition.
+  /// Fewest RTP hits (one packed (ssrc, seq, offset) pair each) for
+  /// which the stream-level validation step partitions the pairs by
+  /// SSRC top byte; a stream with fewer keeps them in one partition.
   static constexpr std::size_t kPartitionMinPairs = 512;
 
   [[nodiscard]] const ScanOptions& options() const { return options_; }

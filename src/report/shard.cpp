@@ -96,7 +96,11 @@ void ShardedPipeline::worker(Shard& shard, std::size_t shard_index) {
       PendingStream& p = pending[item.slot];
       ++p.vectors;
       const std::size_t n = item.batch.size();
-      p.batch.reserve(p.batch.size() + n);
+      // Geometric growth: an exact reserve per item would copy the
+      // flow's whole accumulated batch on every one of its items.
+      const std::size_t need = p.batch.size() + n;
+      if (p.batch.data.capacity() < need)
+        p.batch.reserve(std::max(need, 2 * p.batch.data.capacity()));
       for (std::size_t i = 0; i < n; ++i) {
         p.batch.push(item.batch.payload(i), item.batch.ts[i],
                      item.batch.dir[i]);

@@ -164,15 +164,9 @@ void StreamingAnalyzer::push_frame(rtcc::util::BytesView wire, double ts,
 
   if (!rec.condemned) {
     if (rec.udp()) {
-      FlowPayload& p = *rec.payload;
-      p.bytes.insert(p.bytes.end(), decoded->payload.begin(),
-                     decoded->payload.end());
-      FlowPacket fp;
-      fp.ts = ts;
-      fp.len = static_cast<std::uint32_t>(decoded->payload.size());
-      fp.dir = dir == Direction::kAtoB ? 0 : 1;
-      fp.reasm = decoded->reassembled;
-      p.packets.push_back(fp);
+      rec.payload->push(decoded->payload, ts,
+                        dir == Direction::kAtoB ? 0 : 1,
+                        decoded->reassembled);
       live_flow_bytes_ += decoded->payload.size() + sizeof(FlowPacket);
     } else if (rec.sni_probed < kSniProbePackets && !rec.sni) {
       // filter::stream_sni scans the first kMaxProbe packets (empty
@@ -254,7 +248,7 @@ void StreamingAnalyzer::on_evict(FlowRecord& rec, EvictReason reason) {
   // analyzed *now*, speculatively: whether it is kept is only known at
   // finish(), which discards the partial if the flow ends up filtered.
   if (rec.udp() && !rec.condemned && rec.payload &&
-      !rec.payload->packets.empty()) {
+      !rec.payload->packets().empty()) {
     auto payload = std::move(rec.payload);
     live_flow_bytes_ -= payload->footprint();
     analyze_record(rec, std::move(payload));
@@ -273,14 +267,12 @@ void StreamingAnalyzer::analyze_record(FlowRecord& rec,
   // Whole-flow batch over the buffered payloads, in arrival order —
   // exactly the batch the batch path's per-stream chunk loop builds.
   rtcc::net::PacketBatch batch;
-  const std::size_t n = payload->packets.size();
+  const std::size_t n = payload->packets().size();
   batch.reserve(n);
-  std::size_t off = 0;
-  for (const FlowPacket& fp : payload->packets) {
-    batch.push({payload->bytes.data() + off, fp.len}, fp.ts, fp.dir);
-    off += fp.len;
+  payload->for_each([&](const FlowPacket& fp, rtcc::util::BytesView bytes) {
+    batch.push(bytes, fp.ts, fp.dir);
     if (fp.reasm) ++part.nodes.decode.suspended;
-  }
+  });
   // Decode-node accounting replays decode_stream_chunk's bsz chunking,
   // so node counters match the batch path.
   constexpr std::size_t bsz = rtcc::net::kBatchSize;
@@ -297,7 +289,7 @@ void StreamingAnalyzer::analyze_record(FlowRecord& rec,
       popts.compliance = opts_.compliance;
       pipe_ = std::make_unique<rtcc::report::ShardedPipeline>(popts);
     }
-    // The keepalive pins the flow's payload buffer until the shard
+    // The keepalive pins the flow's payload slabs until the shard
     // worker analyzed it; its deleter keeps the in-flight bytes in the
     // live peak until then, and publishes the partial as readable —
     // the worker stores *part before releasing the keepalive, so the

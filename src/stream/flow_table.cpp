@@ -8,6 +8,51 @@ namespace {
 constexpr std::size_t kNil = FlowRecord::kNil;
 }  // namespace
 
+void FlowPayload::push(rtcc::util::BytesView bytes, double ts,
+                       std::uint8_t dir, bool reasm) {
+  const std::size_t n = bytes.size();
+  std::vector<std::uint8_t>* slab;
+  if (!slabs_ && first_.size() + n <= kSlabBytes) {
+    // The first slab grows as a vector does (to the larger of twice its
+    // size and what it must hold), except that a growth past one slab
+    // stops at one slab.
+    slab = &first_;
+    const std::size_t size = first_.size();
+    if (size + n > first_.capacity() &&
+        std::max(2 * size, size + n) > kSlabBytes)
+      first_.reserve(kSlabBytes);
+  } else if (slabs_ &&
+             slabs_->back().size() + n <= slabs_->back().capacity()) {
+    slab = &slabs_->back();
+  } else {
+    // A fixed slab is reserved once and never reallocated.
+    if (!slabs_)
+      slabs_ = std::make_unique<std::vector<std::vector<std::uint8_t>>>();
+    slab = &slabs_->emplace_back();
+    slab->reserve(std::max(n, kSlabBytes));
+  }
+  slab->insert(slab->end(), bytes.begin(), bytes.end());
+  FlowPacket& p = packets_.emplace_back();
+  p.ts = ts;
+  p.len = static_cast<std::uint32_t>(n);
+  p.dir = dir;
+  p.reasm = reasm;
+}
+
+std::size_t FlowPayload::capacity_bytes() const {
+  std::size_t total = first_.capacity();
+  if (slabs_)
+    for (const auto& slab : *slabs_) total += slab.capacity();
+  return total;
+}
+
+std::uint64_t FlowPayload::footprint() const {
+  std::uint64_t stored = first_.size();
+  if (slabs_)
+    for (const auto& slab : *slabs_) stored += slab.size();
+  return stored + packets_.size() * sizeof(FlowPacket);
+}
+
 FlowTable::Touched FlowTable::touch(const rtcc::net::FlowKey& key,
                                     double clock) {
   // Clamp to the table's monotonic high-water mark: a backwards capture

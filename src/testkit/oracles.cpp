@@ -94,7 +94,9 @@ void reference_anchor_scan(BytesView payload, const rtcc::dpi::ScanOptions& opts
   namespace stun = rtcc::proto::stun;
   namespace quic = rtcc::proto::quic;
   const std::size_t n = payload.size();
-  const std::size_t limit = std::min(opts.max_offset + 1, n);
+  // The scan stops at kMaxScanOffset whatever max_offset asks.
+  const std::size_t limit =
+      std::min(std::min(opts.max_offset, rtcc::dpi::kMaxScanOffset) + 1, n);
   const std::uint8_t* p = payload.data();
   for (std::size_t i = 0; i < limit; ++i) {
     const std::uint8_t b0 = p[i];

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "dpi/scanning_dpi.hpp"
 #include "net/packet_batch.hpp"
@@ -314,6 +315,101 @@ TEST(BatchPipeline, PartitionedSsrcLayoutsMatchAcrossWidths) {
       EXPECT_EQ(m.rtp->ssrc,
                 layout.ssrcs[(i / layout.every) % layout.ssrcs.size()])
           << i;
+    }
+  }
+}
+
+TEST(BatchPipeline, RtpPairsMergeWithOtherCandidatesByOffset) {
+  // Extraction keeps RTP hits as packed pairs apart from the other
+  // candidates, and phase 3 merges the two by offset per datagram. Three
+  // hand-built shapes put an RTP hit next to another candidate, in
+  // 0x3C filler that matches no protocol, so each datagram's candidates
+  // are known exactly:
+  //   * RTP at 0, an RTCP receiver report at its tail (inside the RTP
+  //     message, which must cover it);
+  //   * a STUN Binding request at 0, RTP right after it (both kept);
+  //   * ChannelData at 0 wrapping RTP at 4 (the ChannelData covers it);
+  //     its first byte also reads as a QUIC short header at offset 0,
+  //     which the stream never validates (no long headers).
+  // The RTP SSRC, the RTCP sender SSRC and the channel all repeat, so
+  // every candidate validates on its own; only the merge order decides
+  // which messages come out. Enough datagrams for four chunks.
+  constexpr std::size_t n = 4 * ScanningDpi::kMinChunkVectors *
+                            rtcc::net::kBatchSize;
+  const auto rtp_header = [](std::size_t k) {
+    // Sequence bytes stay below 0x40: no header byte but the first
+    // starts an RTP look-alike.
+    return Bytes{0x80, 0x60, static_cast<std::uint8_t>(k >> 6),
+                 static_cast<std::uint8_t>(k & 0x3F), 0x3C, 0x3C, 0x3C, 0x3C,
+                 0x3A, 0x3B, 0x3C, 0x3D};
+  };
+  const Bytes rtcp_rr = {0x80, 0xC9, 0x00, 0x01, 0x31, 0x32, 0x33, 0x34};
+  const Bytes stun_binding = {0x00, 0x01, 0x00, 0x00, 0x21, 0x12, 0xA4,
+                              0x42, 1,    2,    3,    4,    5,    6,
+                              7,    8,    9,    10,   11,   12};
+  const auto append = [](Bytes& b, const Bytes& tail) {
+    b.insert(b.end(), tail.begin(), tail.end());
+  };
+  std::vector<Bytes> payloads;
+  for (std::size_t i = 0; i < n; ++i) {
+    Bytes b;
+    switch (i % 3) {
+      case 0:  // RTP | filler | RTCP RR: 48 bytes
+        b = rtp_header(i);
+        b.resize(40, 0x3C);
+        append(b, rtcp_rr);
+        break;
+      case 1:  // STUN | RTP | filler: 52 bytes
+        b = stun_binding;
+        append(b, rtp_header(i));
+        b.resize(52, 0x3C);
+        break;
+      default:  // ChannelData(RTP | filler): 48 bytes
+        b = {0x40, 0x01, 0x00, 0x2C};
+        append(b, rtp_header(i));
+        b.resize(48, 0x3C);
+        break;
+    }
+    payloads.push_back(std::move(b));
+  }
+
+  using rtcc::dpi::MessageKind;
+  struct Expected {
+    MessageKind kind;
+    std::size_t offset, length;
+  };
+  const std::size_t candidates[3] = {2, 2, 3};
+  const std::vector<Expected> expected[3] = {
+      {{MessageKind::kRtp, 0, 48}},
+      {{MessageKind::kStun, 0, 20}, {MessageKind::kRtp, 20, 32}},
+      {{MessageKind::kChannelData, 0, 48}},
+  };
+  for (const bool anchored : {false, true}) {
+    rtcc::dpi::ScanOptions opts;
+    opts.use_anchor_prefilter = anchored;
+    const ScanningDpi dpi(opts);
+    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(anchored ? "anchored" : "naive") +
+                   " width=" + std::to_string(width));
+      rtcc::dpi::PipelineCounters counters;
+      const auto out = dpi.analyze_batch(batch_of(payloads), &counters, width);
+      ASSERT_EQ(out.size(), n);
+      std::uint64_t total = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE("datagram " + std::to_string(i));
+        EXPECT_EQ(out[i].candidates, candidates[i % 3]);
+        total += candidates[i % 3];
+        const auto& want = expected[i % 3];
+        ASSERT_EQ(out[i].messages.size(), want.size());
+        for (std::size_t m = 0; m < want.size(); ++m) {
+          EXPECT_EQ(out[i].messages[m].kind, want[m].kind);
+          EXPECT_EQ(out[i].messages[m].offset, want[m].offset);
+          EXPECT_EQ(out[i].messages[m].length, want[m].length);
+        }
+      }
+      if (anchored) {
+        EXPECT_EQ(counters.scan.suspended, total);
+      }
     }
   }
 }

@@ -3,6 +3,9 @@
 // fully-proprietary classification, plus the StrictDpi baseline.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "dpi/scanning_dpi.hpp"
 #include "dpi/strict_dpi.hpp"
 #include "net/packet_batch.hpp"
@@ -419,6 +422,147 @@ TEST(ScanningDpi, CandidateCountsReported) {
   }
   EXPECT_EQ(messages, 5u);
   EXPECT_GT(candidates, messages);  // scan noise exists and is filtered
+}
+
+TEST(ScanningDpi, RtpHitsPackAtTheLargestScanOffset) {
+  // An RTP hit is stored with its offset packed into 16 bits, so the
+  // scan stops at kMaxScanOffset = 65535 whatever max_offset asks (a UDP
+  // payload never reaches it). Oversize datagrams carry a genuine RTP
+  // header at offset 65535, the largest packable one, or at 65536, the
+  // first past the clamp, inside 0x3C filler that matches no protocol.
+  // The rest of the stream is small RTP of another SSRC, long enough to
+  // split into four chunks with one offset-65535 datagram in each. Both
+  // extraction paths must agree at widths 1 and 4.
+  ASSERT_EQ(kMaxScanOffset, 0xFFFFu);
+  constexpr std::size_t bsz = rtcc::net::kBatchSize;
+  constexpr std::size_t n = 4 * ScanningDpi::kMinChunkVectors * bsz;
+  constexpr std::size_t chunk = n / 4;
+  constexpr std::uint32_t kFar = 0x3A3B3C3D, kNear = 0x0A0B0C0D;
+  // Sequence bytes stay below 0x40, so no header byte but the first
+  // starts an RTP look-alike.
+  const auto put_header = [](Bytes& b, std::size_t at, std::uint32_t ssrc,
+                             std::size_t k) {
+    const Bytes h = {0x80,
+                     0x60,
+                     static_cast<std::uint8_t>(k >> 6),
+                     static_cast<std::uint8_t>(k & 0x3F),
+                     0x3C,
+                     0x3C,
+                     0x3C,
+                     0x3C,
+                     static_cast<std::uint8_t>(ssrc >> 24),
+                     static_cast<std::uint8_t>(ssrc >> 16),
+                     static_cast<std::uint8_t>(ssrc >> 8),
+                     static_cast<std::uint8_t>(ssrc)};
+    std::copy(h.begin(), h.end(), b.begin() + static_cast<std::ptrdiff_t>(at));
+  };
+  std::vector<Bytes> payloads;
+  std::vector<std::size_t> at_max, past_max;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % chunk == 5) {
+      Bytes b(kMaxScanOffset + 12 + 4, 0x3C);
+      put_header(b, kMaxScanOffset, kFar, at_max.size() + 1);
+      at_max.push_back(i);
+      payloads.push_back(std::move(b));
+    } else if (i % chunk == 300) {
+      Bytes b(kMaxScanOffset + 1 + 12, 0x3C);
+      put_header(b, kMaxScanOffset + 1, kFar + 1, past_max.size() + 1);
+      past_max.push_back(i);
+      payloads.push_back(std::move(b));
+    } else {
+      Bytes b(32, 0x3C);
+      put_header(b, 0, kNear, i);
+      payloads.push_back(std::move(b));
+    }
+  }
+  rtcc::net::PacketBatch batch;
+  for (std::size_t i = 0; i < n; ++i)
+    batch.push(BytesView{payloads[i]}, static_cast<double>(i) * 0.02, 0);
+
+  for (const bool anchored : {false, true}) {
+    ScanOptions opts;
+    opts.max_offset = std::numeric_limits<std::size_t>::max();
+    opts.use_anchor_prefilter = anchored;
+    const ScanningDpi dpi(opts);
+    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(anchored ? "anchored" : "naive") +
+                   " width=" + std::to_string(width));
+      const auto out = dpi.analyze_batch(batch, nullptr, width);
+      ASSERT_EQ(out.size(), n);
+      for (const std::size_t i : at_max) {
+        const DatagramAnalysis& a = out[i];
+        EXPECT_EQ(a.candidates, 1u) << i;
+        ASSERT_EQ(a.messages.size(), 1u) << i;
+        EXPECT_EQ(a.messages[0].kind, MessageKind::kRtp);
+        EXPECT_EQ(a.messages[0].offset, kMaxScanOffset);
+        EXPECT_EQ(a.messages[0].length, 16u);
+        ASSERT_TRUE(a.messages[0].rtp.has_value());
+        EXPECT_EQ(a.messages[0].rtp->ssrc, kFar);
+        EXPECT_EQ(a.klass, DatagramClass::kProprietaryHeader);
+        EXPECT_EQ(a.proprietary_header_len, kMaxScanOffset);
+      }
+      for (const std::size_t i : past_max) {
+        EXPECT_EQ(out[i].candidates, 0u) << i;
+        EXPECT_EQ(out[i].klass, DatagramClass::kFullyProprietary) << i;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i % chunk == 5 || i % chunk == 300) continue;
+        EXPECT_EQ(out[i].candidates, 1u) << i;
+        ASSERT_EQ(out[i].messages.size(), 1u) << i;
+        EXPECT_EQ(out[i].messages[0].offset, 0u) << i;
+        EXPECT_EQ(out[i].klass, DatagramClass::kStandard) << i;
+      }
+    }
+  }
+}
+
+TEST(ScanningDpi, NoOffsetHoldsAnRtpAndAnotherCandidate) {
+  // Phase 3 merges each datagram's RTP pairs with its other candidates
+  // by offset, RTP last at an equal offset as emission orders them. That
+  // tie rule never shows in the output because no offset can hold both:
+  // the first byte's top two bits split STUN (00), ChannelData and QUIC
+  // short headers (01), RTP and RTCP (10) and QUIC long headers (11),
+  // and RTP skips the RTCP payload types. Pin that premise on every
+  // first-two-byte pair, scanning offset 0 only, behind tails that let
+  // each kind match: a 20-byte classic STUN fit, a 24-byte tail that
+  // fits RTP and RTCP, and a magic cookie.
+  ScanOptions rtp_only, others;
+  rtp_only.max_offset = others.max_offset = 0;
+  rtp_only.validate = others.validate = false;
+  rtp_only.scan_stun = rtp_only.scan_rtcp = rtp_only.scan_quic = false;
+  others.scan_rtp = false;
+  const Bytes tails[] = {
+      Bytes(18, 0x00),
+      Bytes(22, 0x00),
+      {0x00, 0x00, 0x21, 0x12, 0xA4, 0x42, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+       12},
+  };
+  for (const Bytes& tail : tails) {
+    std::vector<Bytes> payloads;
+    for (std::size_t b = 0; b < 0x10000; ++b) {
+      Bytes d = {static_cast<std::uint8_t>(b >> 8),
+                 static_cast<std::uint8_t>(b)};
+      d.insert(d.end(), tail.begin(), tail.end());
+      payloads.push_back(std::move(d));
+    }
+    rtcc::net::PacketBatch batch;
+    for (const Bytes& d : payloads) batch.push(BytesView{d}, 0.0, 0);
+    for (const bool anchored : {false, true}) {
+      rtp_only.use_anchor_prefilter = others.use_anchor_prefilter = anchored;
+      const auto rtp = ScanningDpi(rtp_only).analyze_batch(batch);
+      const auto rest = ScanningDpi(others).analyze_batch(batch);
+      std::size_t rtp_hits = 0, other_hits = 0;
+      for (std::size_t b = 0; b < payloads.size(); ++b) {
+        rtp_hits += rtp[b].candidates;
+        other_hits += rest[b].candidates;
+        EXPECT_FALSE(rtp[b].candidates > 0 && rest[b].candidates > 0)
+            << (anchored ? "anchored" : "naive") << ", first bytes "
+            << std::hex << b;
+      }
+      EXPECT_GT(rtp_hits, 0u);  // the premise is tested, not vacuous
+      EXPECT_GT(other_hits, 0u);
+    }
+  }
 }
 
 TEST(StrictDpi, OffsetZeroOnly) {

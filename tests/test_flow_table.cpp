@@ -3,11 +3,15 @@
 // re-touch reordering, idle expiry by trace clock), the rekey/split
 // ledger identity (records created = distinct keys + rekeys), drain
 // semantics (every live flow retired, none counted as an eviction),
-// and — at the engine level — eviction landing while a sharded chunk
-// is still in flight, where the conservation identities must hold
-// against the batch reference.
+// the FlowPayload slab layout (byte-exact, pointer-stable views at the
+// slab edges, bounded spare capacity, short flows allocating as one
+// vector), and — at the engine level — eviction landing while a
+// sharded chunk is still in flight, where the conservation identities
+// must hold against the batch reference, and multi-slab flows matching
+// the batch path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -23,6 +27,7 @@
 #include "stream/engine.hpp"
 #include "stream/flow_table.hpp"
 #include "stream/stream_mode.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -31,7 +36,9 @@ namespace report = rtcc::report;
 namespace stream = rtcc::stream;
 using rtcc::net::FlowKey;
 using rtcc::net::IpAddr;
+using rtcc::util::BytesView;
 using stream::EvictReason;
+using stream::FlowPayload;
 using stream::FlowTable;
 
 FlowKey key_n(std::uint16_t n) {
@@ -282,6 +289,213 @@ TEST(StreamingEviction, UnboundedShardedStreamingMatchesBatch) {
   EXPECT_EQ(got.flows.flows_rekeyed, 0u)
       << "unbounded budgets must never split";
   EXPECT_EQ(strip(got), ref_json);
+}
+
+// ---- FlowPayload slab layout ----
+
+constexpr std::size_t kSlab = FlowPayload::kSlabBytes;
+
+/// Byte i of datagram d: distinct enough that a view shifted by a byte
+/// or pointing into the wrong datagram reads wrong.
+std::uint8_t byte_of(std::size_t d, std::size_t i) {
+  return static_cast<std::uint8_t>(d * 131 + i * 7 + 1);
+}
+
+/// A FlowPayload fed datagram by datagram, remembering only lengths.
+struct SlabbedFlow {
+  FlowPayload payload;
+  std::vector<std::size_t> lens;
+  std::uint64_t stored = 0;
+
+  void push(std::size_t len) {
+    std::vector<std::uint8_t> b(len);
+    for (std::size_t i = 0; i < len; ++i) b[i] = byte_of(lens.size(), i);
+    payload.push(BytesView{b}, static_cast<double>(lens.size()),
+                 static_cast<std::uint8_t>(lens.size() & 1),
+                 lens.size() % 3 == 0);
+    lens.push_back(len);
+    stored += len;
+  }
+
+  [[nodiscard]] std::vector<BytesView> views() const {
+    std::vector<BytesView> out;
+    payload.for_each(
+        [&](const stream::FlowPacket&, BytesView v) { out.push_back(v); });
+    return out;
+  }
+
+  /// Every view holds exactly the bytes pushed, with their metadata, in
+  /// order, and the footprint counts stored bytes only.
+  void expect_round_trip() const {
+    std::size_t d = 0;
+    payload.for_each([&](const stream::FlowPacket& p, BytesView v) {
+      ASSERT_LT(d, lens.size());
+      EXPECT_EQ(p.len, lens[d]) << d;
+      EXPECT_EQ(p.ts, static_cast<double>(d)) << d;
+      EXPECT_EQ(p.dir, d & 1) << d;
+      EXPECT_EQ(p.reasm, d % 3 == 0) << d;
+      ASSERT_EQ(v.size(), lens[d]) << d;
+      for (std::size_t i = 0; i < v.size(); ++i)
+        if (v[i] != byte_of(d, i)) {
+          ADD_FAILURE() << "datagram " << d << " byte " << i;
+          break;
+        }
+      ++d;
+    });
+    EXPECT_EQ(d, lens.size());
+    EXPECT_EQ(payload.footprint(),
+              stored + lens.size() * sizeof(stream::FlowPacket));
+  }
+};
+
+TEST(FlowPayload, SlabsFilledExactlyAndOneByteOver) {
+  SlabbedFlow f;
+  f.push(1000);
+  f.push(kSlab - 1000);  // the first slab is exactly full
+  EXPECT_EQ(f.payload.slab_count(), 1u);
+  EXPECT_EQ(f.payload.capacity_bytes(), kSlab);
+  f.push(1);  // one byte over: a fixed slab opens
+  EXPECT_EQ(f.payload.slab_count(), 2u);
+  f.push(kSlab - 2);
+  f.push(1);  // the fixed slab is exactly full
+  EXPECT_EQ(f.payload.slab_count(), 2u);
+  f.push(1);
+  EXPECT_EQ(f.payload.slab_count(), 3u);
+  EXPECT_EQ(f.payload.capacity_bytes(), 3 * kSlab);
+  f.expect_round_trip();
+}
+
+TEST(FlowPayload, ZeroLengthDatagramsAtSlabBoundaries) {
+  SlabbedFlow f;
+  f.push(0);  // a flow may open with an empty datagram
+  f.push(kSlab);
+  f.push(0);  // the first slab is full; empty datagrams still fit
+  f.push(0);
+  EXPECT_EQ(f.payload.slab_count(), 1u);
+  f.push(5);
+  f.push(0);
+  f.push(kSlab - 5);
+  f.push(0);  // the fixed slab is full
+  EXPECT_EQ(f.payload.slab_count(), 2u);
+  f.push(7);
+  f.push(0);
+  EXPECT_EQ(f.payload.slab_count(), 3u);
+  f.expect_round_trip();
+  // An empty datagram at a boundary does not shift the next one's view.
+  const auto v = f.views();
+  EXPECT_EQ(v[4].data() + 5, v[6].data());
+  EXPECT_EQ(v[8].data() + 7, v[9].data());
+}
+
+TEST(FlowPayload, LargestUdpAndOversizeDatagrams) {
+  constexpr std::size_t kMaxUdp = 65507;  // IPv4's largest UDP payload
+  SlabbedFlow f;
+  f.push(kMaxUdp);
+  EXPECT_EQ(f.payload.slab_count(), 1u);
+  f.push(kMaxUdp);  // does not fit the first slab's remaining 29 bytes
+  EXPECT_EQ(f.payload.slab_count(), 2u);
+  const std::size_t before = f.payload.capacity_bytes();
+  f.push(kSlab + 4464);  // larger than a slab: a slab of its own size
+  EXPECT_EQ(f.payload.slab_count(), 3u);
+  EXPECT_EQ(f.payload.capacity_bytes(), before + kSlab + 4464);
+  f.push(10);  // the oversize slab is full
+  EXPECT_EQ(f.payload.slab_count(), 4u);
+  f.expect_round_trip();
+}
+
+TEST(FlowPayload, LongFlowStaysWithinOneSlabOfItsBytes) {
+  // 10 MB flows of 1,024-byte datagrams (which tile a slab) and of
+  // 1,200-byte ones (which leave 65,536 mod 1,200 = 736 bytes unfilled
+  // at the end of the first slab and of every closed fixed slab: a
+  // datagram never straddles two slabs). Spare capacity stays within
+  // one slab plus those tails, and views taken early keep their address
+  // as the flow grows.
+  for (const std::size_t len : {std::size_t{1024}, std::size_t{1200}}) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+
+    SlabbedFlow f;
+    std::vector<BytesView> early;
+    while (f.stored < 10'000'000) {
+      f.push(len);
+      if (early.empty() && f.payload.slab_count() == 3) early = f.views();
+    }
+    ASSERT_FALSE(early.empty());
+    const auto late = f.views();
+    for (std::size_t d = 0; d < early.size(); ++d)
+      ASSERT_EQ(early[d].data(), late[d].data()) << d;
+
+    const std::size_t closed = f.payload.slab_count() - 1;
+    EXPECT_LE(f.payload.capacity_bytes(),
+              f.stored + kSlab + closed * (kSlab % len));
+    f.expect_round_trip();
+  }
+}
+
+TEST(FlowPayload, ShortFlowAllocatesAsOneVector) {
+  // Under one slab the payload is one vector grown by the same inserts,
+  // reallocating exactly when a plain vector does, to the same capacity
+  // capped at one slab. The daemon's 3 x 160 B churn flows are the
+  // first case; the second's last growth would pass one slab.
+  rtcc::util::Rng rng(0x51ab);
+  std::vector<std::vector<std::size_t>> flows = {{160, 160, 160}};
+  std::vector<std::size_t> mixed;
+  for (std::size_t total = 0;;) {
+    const std::size_t len = rng.below(1400);
+    if (total + len > kSlab) break;
+    mixed.push_back(len);
+    total += len;
+  }
+  flows.push_back(mixed);
+  for (const auto& lens : flows) {
+    SlabbedFlow f;
+    std::vector<std::uint8_t> one;
+    for (const std::size_t len : lens) {
+      f.push(len);
+      one.insert(one.end(), len, 0);
+      ASSERT_EQ(f.payload.slab_count(), 1u);
+      ASSERT_EQ(f.payload.capacity_bytes(), std::min(one.capacity(), kSlab));
+    }
+    f.expect_round_trip();
+    if (lens.size() > 3) {
+      EXPECT_GT(one.capacity(), kSlab) << "cap untested";
+    }
+  }
+}
+
+TEST(StreamingEviction, MultiSlabFlowsMatchBatch) {
+  // Relay media long enough that the main flows span several slabs,
+  // analyzed on the engine's own thread and through shard workers (whose
+  // keepalives pin the slabbed payloads): the report must equal the
+  // batch path's.
+  emul::CallConfig cfg;
+  cfg.app = emul::AppId::kZoom;
+  cfg.network = emul::NetworkSetup::kWifiRelay;
+  cfg.pre_call_s = 2.0;
+  cfg.call_s = 20.0;
+  cfg.post_call_s = 2.0;
+  cfg.media_scale = 0.3;
+  const auto call = emul::emulate_call(cfg);
+  const auto fcfg = emul::filter_config_for(call);
+
+  std::uint64_t largest = 0;
+  for (const auto& st : rtcc::net::group_streams(call.trace).streams)
+    largest = std::max(largest, st.total_payload_bytes());
+  ASSERT_GE(largest, 3 * kSlab) << "no flow spans three slabs — test inert";
+
+  const stream::StreamModeGuard batch_ref(false);
+  const auto strip = [](report::CallAnalysis a) {
+    a.shards.clear();
+    a.flows = {};
+    return report::to_json(a);
+  };
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    report::AnalysisOptions opts;
+    opts.shards = width;
+    const auto got =
+        stream::analyze_trace_streaming(call.trace, fcfg, opts, {});
+    EXPECT_EQ(strip(got), strip(report::analyze_trace(call.trace, fcfg, opts)));
+  }
 }
 
 }  // namespace
